@@ -218,52 +218,6 @@ func BenchmarkSweepParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSim measures one simulation executed serially vs
-// through the parallel engine on the canonical multi-domain topology
-// (OneWayRing: one conflict domain per process, lookahead one wire
-// traversal). On a multi-core host the parallel variants buy wall-clock
-// time; on one CPU they price the window/commit machinery's overhead.
-// Results are bit-identical in every variant — the msgs metric must
-// agree across all sub-benchmarks.
-func BenchmarkParallelSim(b *testing.B) {
-	cfg := Config{
-		Algorithm:    FD,
-		N:            8,
-		Topology:     OneWayRing(8),
-		QoS:          Detectors(10, 0, 0),
-		Throughput:   100,
-		Warmup:       500 * time.Millisecond,
-		Measure:      2 * time.Second,
-		Drain:        10 * time.Second,
-		Replications: 1,
-	}
-	type variant struct {
-		name     string
-		parallel bool
-		workers  int
-	}
-	variants := []variant{
-		{"serial", false, 0},
-		{"parallel/workers=1", true, 1},
-	}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		variants = append(variants, variant{fmt.Sprintf("parallel/workers=%d", n), true, n})
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			c := cfg
-			c.ParallelSim = v.parallel
-			c.SimWorkers = v.workers
-			r := &Runner{Workers: 1}
-			var last Result
-			for i := 0; i < b.N; i++ {
-				last = r.Steady(c)
-			}
-			b.ReportMetric(float64(last.Messages), "msgs")
-		})
-	}
-}
-
 // BenchmarkTopologyNScale measures the simulator's cost of a large-N
 // point on each topology generator — the -fig nscale workload at n=256.
 // ns/op is what topology routing costs the kernel (graph-relayed hops

@@ -115,26 +115,6 @@ type ClusterConfig struct {
 	// the rest stays shard-local. Groups mode only; ShardMixAt (or a
 	// ShardMix load event) changes it mid-run.
 	CrossShard float64
-	// ParallelSim executes the simulation's conflict domains concurrently
-	// inside safe windows bounded by the minimum cross-domain wire cost.
-	// Every observable — deliveries, views, traces, stats — is
-	// bit-identical to the serial engine at any worker count; the switch
-	// trades nothing but wall-clock time. How far it helps depends on the
-	// topology: shared-wire graphs (FullMesh, Ring, Star, Clique, Geo)
-	// collapse to a single conflict domain, while fully directed graphs
-	// like Topology OneWayRing split into one domain per process.
-	// Configurations whose randomness crosses domains mid-run — a fault
-	// plan with link loss, or groups mode with cross-shard mixing — are
-	// detected and executed serially for exactness. Interactive calls
-	// that would introduce such randomness into a multi-domain run
-	// (SetLinkAt with loss, ShardMixAt) panic instead of degrading
-	// silently; plan them in ClusterConfig.Plan/CrossShard so the
-	// cluster serialises itself up front.
-	ParallelSim bool
-	// SimWorkers caps the worker goroutines of a parallel run; zero or
-	// negative means one per CPU. Ignored unless ParallelSim is set. The
-	// worker count never affects results, only speed.
-	SimWorkers int
 }
 
 // HeartbeatConfig tunes the concrete heartbeat failure detector: the
@@ -157,13 +137,9 @@ type HeartbeatConfig = experiment.Heartbeat
 // at construction, SetRateAt/BurstAt/MuteAt/UnmuteAt/PauseAt/ResumeAt
 // and ApplyLoad interactively.
 //
-// With ClusterConfig.ParallelSim the engine advances independent
-// conflict domains concurrently between Run calls, yet every observer
-// fires in the same order with the same timestamps as the serial
-// engine — scripted sessions need no changes and replay bit-identically
-// either way. In groups mode, crash-recovery (RecoverAt, Recover plan
-// events) is supported for the FD algorithm only; NewCluster rejects a
-// GM-algorithm plan containing Recover events at construction.
+// In groups mode, crash-recovery (RecoverAt, Recover plan events) is
+// supported for the FD algorithm only; NewCluster rejects a GM-algorithm
+// plan containing Recover events at construction.
 type Cluster struct {
 	cfg   ClusterConfig
 	eng   *sim.Engine
@@ -180,11 +156,9 @@ type Cluster struct {
 	// crossFrac/mixRng/mixDests drive the workload's shard-local vs
 	// cross-shard mix in groups mode; mixRng is drawn only for mixing, so
 	// a zero fraction is bit-identical to a pure shard-local workload.
-	// mixDests is per-sender scratch: workload sources of different
-	// conflict domains fire concurrently under ParallelSim.
 	crossFrac float64
 	mixRng    *sim.Rand
-	mixDests  [][2]int
+	mixDests  [2]int
 }
 
 // NewCluster builds a cluster. It panics on invalid configuration.
@@ -283,45 +257,17 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 			})
 		}
 	}
-	// Configurations whose randomness crosses domains mid-run must fall
-	// back to a single domain for bit-exactness: lossy link faults draw
-	// on the network's shared fault stream, cross-shard mixing on the
-	// shared mix stream. The window machinery still runs; it just has
-	// one domain to advance. (Mirrors the experiment runner's gating.)
-	serialDomains := false
-	if cfg.Plan != nil {
-		for _, ev := range cfg.Plan.Events {
-			if lf, ok := ev.(LinkFault); ok && lf.Loss > 0 {
-				serialDomains = true
-			}
-		}
-	}
-	if cfg.Groups != nil {
-		if cfg.CrossShard > 0 {
-			serialDomains = true
-		}
-		if cfg.Load != nil {
-			for _, ev := range cfg.Load.Events {
-				if _, ok := ev.(ShardMix); ok {
-					serialDomains = true
-				}
-			}
-		}
-	}
 	c.core = experiment.NewCore(experiment.CoreConfig{
-		Algorithm:     cfg.Algorithm,
-		N:             cfg.N,
-		Lambda:        cfg.Lambda,
-		Topology:      cfg.Topology,
-		QoS:           cfg.QoS,
-		Detector:      cfg.Heartbeat,
-		Renumber:      true,
-		Seed:          cfg.Seed,
-		PreCrashed:    preOrder,
-		Groups:        cfg.Groups,
-		Parallel:      cfg.ParallelSim,
-		Workers:       cfg.SimWorkers,
-		SerialDomains: serialDomains,
+		Algorithm:  cfg.Algorithm,
+		N:          cfg.N,
+		Lambda:     cfg.Lambda,
+		Topology:   cfg.Topology,
+		QoS:        cfg.QoS,
+		Detector:   cfg.Heartbeat,
+		Renumber:   true,
+		Seed:       cfg.Seed,
+		PreCrashed: preOrder,
+		Groups:     cfg.Groups,
 		Deliver: func(pid proto.PID, id proto.MsgID, body any, at sim.Time) {
 			if cfg.OnDeliver != nil {
 				cfg.OnDeliver(Delivery{
@@ -376,7 +322,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Groups != nil {
 		c.crossFrac = cfg.CrossShard
 		c.mixRng = sim.NewRand(cfg.Seed).Fork("mix")
-		c.mixDests = make([][2]int, cfg.N)
 		c.loads.OnShardMix = func(fraction float64) { c.crossFrac = fraction }
 	}
 	c.loads.OnEvent = func(ev LoadEvent) {
@@ -442,7 +387,7 @@ func (c *Cluster) multicast(p int, dests []int, body any) MessageID {
 // one uniformly random other group (the experiment workload's mix).
 func (c *Cluster) mixedMulticast(s int, body any) {
 	m := c.cfg.Groups
-	dests := c.mixDests[s][:1]
+	dests := c.mixDests[:1]
 	home := m.Home(proto.PID(s))
 	dests[0] = home
 	if c.crossFrac > 0 && m.NumGroups() > 1 && c.mixRng.Float64() < c.crossFrac {
@@ -465,9 +410,6 @@ func (c *Cluster) mixedMulticast(s int, body any) {
 func (c *Cluster) Apply(ev PlanEvent) {
 	if _, pre := ev.(PreCrash); pre {
 		panic("repro: PreCrash is an initial condition; list it in ClusterConfig")
-	}
-	if lf, ok := ev.(LinkFault); ok && lf.Loss > 0 && c.eng.Domains() > 1 {
-		panic("repro: lossy link faults draw on a shared random stream and need a single conflict domain; list the fault in ClusterConfig.Plan (the cluster then serialises itself) or leave ParallelSim off")
 	}
 	if err := (&FaultPlan{Events: []PlanEvent{ev}}).Validate(c.cfg.N); err != nil {
 		panic(err)
@@ -528,9 +470,6 @@ func (c *Cluster) SetLinkAt(at time.Duration, from, to int, loss float64, extraD
 // It panics on an invalid event or one scheduled in the simulation's
 // past.
 func (c *Cluster) ApplyLoad(ev LoadEvent) {
-	if mix, ok := ev.(ShardMix); ok && mix.Fraction > 0 && c.eng.Domains() > 1 {
-		panic("repro: cross-shard mixing draws on a shared random stream and needs a single conflict domain; set ClusterConfig.CrossShard or list the ShardMix in ClusterConfig.Load (the cluster then serialises itself) or leave ParallelSim off")
-	}
 	if err := (&LoadPlan{Events: []LoadEvent{ev}}).Validate(c.cfg.N); err != nil {
 		panic(err)
 	}

@@ -56,23 +56,6 @@ type CoreConfig struct {
 	Renumber bool
 	// Seed is the root seed of the run's random streams.
 	Seed uint64
-	// Parallel enables the engine's conservative parallel execution
-	// mode: the topology (plus the groups map, if any) is partitioned
-	// into conflict domains (netmodel.ConflictDomains) and independent
-	// domains advance concurrently inside safe windows, with observable
-	// behavior bit-identical to the serial engine.
-	Parallel bool
-	// Workers bounds the goroutines draining domains concurrently when
-	// Parallel is set; values below 1 (or above the domain count) are
-	// clamped.
-	Workers int
-	// SerialDomains forces a single conflict domain even when Parallel
-	// is set. Callers use it when the run exercises features that draw
-	// from shared random streams mid-window — lossy link faults,
-	// cross-shard workload mixing — whose draw order only a single
-	// domain preserves. The parallel window machinery still runs, so the
-	// run remains a valid parallel-path check, just without concurrency.
-	SerialDomains bool
 	// PreCrashed lists processes crashed long before the start, deduped,
 	// in declaration order. They are excluded from the initial GM view
 	// and PreCrash-ed before Start.
@@ -144,27 +127,6 @@ func NewCore(cfg CoreConfig) *Core {
 		Slot:     time.Millisecond,
 		Topology: cfg.Topology,
 	}
-	if cfg.Parallel {
-		// The engine must learn its domains before any component fetches
-		// a handle, i.e. before the protocol system is built.
-		var shards [][]int
-		if cfg.Groups != nil {
-			for g := 0; g < cfg.Groups.NumGroups(); g++ {
-				ms := cfg.Groups.Members(g)
-				shard := make([]int, len(ms))
-				for i, m := range ms {
-					shard[i] = int(m)
-				}
-				shards = append(shards, shard)
-			}
-		}
-		domainOf, lookahead := netmodel.ConflictDomains(netCfg, shards)
-		if cfg.SerialDomains {
-			domainOf = make([]int, cfg.N)
-			lookahead = 0
-		}
-		eng.EnableParallel(domainOf, lookahead, cfg.Workers)
-	}
 	sys := proto.NewSystem(eng, netCfg, cfg.QoS, sim.NewRand(cfg.Seed))
 	c := &Core{
 		Eng:      eng,
@@ -199,18 +161,8 @@ func NewCore(cfg CoreConfig) *Core {
 	for p := 0; p < cfg.N; p++ {
 		p := p
 		pid := proto.PID(p)
-		h := eng.For(p)
-		// The delivery instant is read from the process's own domain
-		// clock at the moment of delivery; inside a parallel window the
-		// observer call itself is deferred to the window commit, where it
-		// runs in exact serial order.
 		deliver := func(id proto.MsgID, body any) {
-			at := h.Now()
-			if h.Deferring() {
-				h.Emit(func() { cfg.Deliver(pid, id, body, at) })
-				return
-			}
-			cfg.Deliver(pid, id, body, at)
+			cfg.Deliver(pid, id, body, eng.Now())
 		}
 		// build constructs the algorithm endpoint against rt and returns
 		// the handler plus the broadcast entry point; rt is the plain
@@ -240,16 +192,7 @@ func NewCore(cfg CoreConfig) *Core {
 				}
 				if cfg.OnView != nil {
 					scfg.OnView = func(v gm.View) {
-						at := h.Now()
-						if h.Deferring() {
-							// Copy the member list: the observation runs at
-							// the window commit, and the protocol may touch
-							// its view state in later events of the window.
-							cp := gm.View{ID: v.ID, Members: append([]proto.PID(nil), v.Members...)}
-							h.Emit(func() { cfg.OnView(pid, cp, at) })
-							return
-						}
-						cfg.OnView(pid, v, at)
+						cfg.OnView(pid, v, eng.Now())
 					}
 				}
 				proc := seqabcast.New(rt, scfg)
@@ -313,7 +256,6 @@ func (c *Core) buildGroups(cfg CoreConfig, sys *proto.System) {
 				}
 				if cfg.OnView != nil {
 					global := ic.Members[ic.Local]
-					h := c.Eng.For(int(global))
 					scfg.OnView = func(v gm.View) {
 						// Report view members in global pids; the view id
 						// sequence is the group's own.
@@ -321,12 +263,7 @@ func (c *Core) buildGroups(cfg CoreConfig, sys *proto.System) {
 						for i, lq := range v.Members {
 							mapped.Members[i] = ic.Members[lq]
 						}
-						at := h.Now()
-						if h.Deferring() {
-							h.Emit(func() { cfg.OnView(global, mapped, at) })
-							return
-						}
-						cfg.OnView(global, mapped, at)
+						cfg.OnView(global, mapped, c.Eng.Now())
 					}
 				}
 				proc := seqabcast.New(rt, scfg)
@@ -345,18 +282,7 @@ func (c *Core) buildGroups(cfg CoreConfig, sys *proto.System) {
 		}
 		return ep
 	}
-	// The routers invoke the coordinator's deliver inline, from the
-	// delivering process's domain; defer the observation to the window
-	// commit (the router already captured the delivery instant).
-	deliver := func(p proto.PID, id proto.MsgID, body any, at sim.Time) {
-		h := c.Eng.For(int(p))
-		if h.Deferring() {
-			h.Emit(func() { cfg.Deliver(p, id, body, at) })
-			return
-		}
-		cfg.Deliver(p, id, body, at)
-	}
-	coord := groups.NewCoordinator(sys, cfg.Groups, pre, factory, deliver)
+	coord := groups.NewCoordinator(sys, cfg.Groups, pre, factory, cfg.Deliver)
 	c.Coord = coord
 	for p := 0; p < cfg.N; p++ {
 		pid := proto.PID(p)

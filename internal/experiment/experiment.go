@@ -21,11 +21,10 @@
 //     A-broadcast at the crash instant; the metric is the probe's latency,
 //     worst-cased over the crashed/sender pair (Fig. 8).
 //
-// Parallelism exists at two independent levels, neither of which changes
-// a single bit of output: Runner.Workers fans the (point, replication)
-// grid out over a worker pool (each replication is its own simulation),
-// and Config.ParallelSim executes conflict domains concurrently inside
-// one simulation (see internal/sim and netmodel.ConflictDomains).
+// Every replication is its own single-threaded simulation. Parallelism
+// exists only across replications: Runner.Workers fans the (point,
+// replication) grid out over a worker pool, which changes no bit of
+// output.
 package experiment
 
 import (
@@ -141,22 +140,6 @@ type Config struct {
 	// optimisation (§7, crash-steady discussion). On by default through
 	// DisableRenumber.
 	DisableRenumber bool
-	// ParallelSim enables conservative parallel execution inside each
-	// replication's simulation: the topology (and groups map) is
-	// partitioned into conflict domains that advance concurrently inside
-	// safe windows bounded by the minimum cross-domain wire cost. The
-	// run's observable behavior — deliveries, views, traces, figures —
-	// is bit-identical to the serial engine at any worker count.
-	// Topologies whose wires are all shared (the paper's full mesh)
-	// collapse to one domain and run serially regardless; configurations
-	// that draw from shared random streams mid-window (lossy link plans,
-	// cross-shard mixing) are serialised automatically. Trace headers
-	// record the mode.
-	ParallelSim bool
-	// SimWorkers bounds the goroutines draining conflict domains when
-	// ParallelSim is set. Zero (or any value below 1) means 1; values
-	// above the domain count are clamped.
-	SimWorkers int
 	// Seed makes the experiment reproducible. Zero means seed 1.
 	Seed uint64
 	// Warmup is discarded virtual time before measurement starts.
@@ -373,15 +356,11 @@ type cluster struct {
 	// sentBy counts the A-broadcasts issued per process, the ID-sequence
 	// base a recovered GM incarnation continues from (Core.SentBy).
 	sentBy []uint64
-	// onDeliver is invoked for every A-delivery at every process; at is
-	// the delivery instant (passed explicitly: under the parallel engine
-	// the callback runs at the window commit, when the root clock no
-	// longer reads the delivery instant).
-	onDeliver func(p proto.PID, id proto.MsgID, at sim.Time)
+	// onDeliver is invoked for every A-delivery at every process.
+	onDeliver func(p proto.PID, id proto.MsgID)
 	// onBroadcast, if non-nil, is invoked for every A-broadcast issued
-	// through broadcast() — the feed of BroadcastObservers; at is the
-	// broadcast instant, explicit for the same reason as onDeliver's.
-	onBroadcast func(sender proto.PID, id proto.MsgID, at sim.Time)
+	// through broadcast() — the feed of BroadcastObservers.
+	onBroadcast func(sender proto.PID, id proto.MsgID)
 	// onPlanEvent, if non-nil, observes plan events as they apply — the
 	// feed of PlanObservers.
 	onPlanEvent func(ev PlanEvent)
@@ -403,10 +382,7 @@ type cluster struct {
 	// randomness and shard-local-only runs are insensitive to it).
 	crossFrac float64
 	mixRng    *sim.Rand
-	// mixDests is per-sender destination scratch: sources in different
-	// conflict domains fire concurrently, so the scratch cannot be
-	// shared.
-	mixDests [][2]int
+	mixDests  [2]int
 }
 
 // broadcast A-broadcasts body from sender and maintains the backlog
@@ -421,32 +397,13 @@ func (c *cluster) broadcast(sender int, body any) proto.MsgID {
 	if m := c.cfg.Groups; m != nil {
 		return c.multicastMixed(m, sender, body)
 	}
+	c.broadcasts++
 	c.sentBy[sender]++
 	id := c.bcast[sender](body)
-	c.countBroadcast(sender, id, true)
+	if c.onBroadcast != nil {
+		c.onBroadcast(proto.PID(sender), id)
+	}
 	return id
-}
-
-// countBroadcast updates the shared backlog counter and feeds the
-// broadcast observers. Inside a parallel window the update is deferred
-// to the window commit — the counter and the observers are shared
-// across domains — where it runs in exact serial order.
-func (c *cluster) countBroadcast(sender int, id proto.MsgID, counts bool) {
-	h := c.eng.For(sender)
-	at := h.Now()
-	apply := func() {
-		if counts {
-			c.broadcasts++
-		}
-		if c.onBroadcast != nil {
-			c.onBroadcast(proto.PID(sender), id, at)
-		}
-	}
-	if h.Deferring() {
-		h.Emit(apply)
-		return
-	}
-	apply()
 }
 
 // multicastMixed issues one groups-mode broadcast: to the sender's home
@@ -455,7 +412,7 @@ func (c *cluster) countBroadcast(sender int, id proto.MsgID, counts bool) {
 // the divergence backlog — p0 never delivers the rest.
 func (c *cluster) multicastMixed(m *groups.GroupMap, sender int, body any) proto.MsgID {
 	home := m.Home(proto.PID(sender))
-	dests := c.mixDests[sender][:1]
+	dests := c.mixDests[:1]
 	dests[0] = home
 	if c.crossFrac > 0 && m.NumGroups() > 1 && c.mixRng.Float64() < c.crossFrac {
 		other := c.mixRng.Intn(m.NumGroups() - 1)
@@ -469,15 +426,16 @@ func (c *cluster) multicastMixed(m *groups.GroupMap, sender int, body any) proto
 		}
 	}
 	c.sentBy[sender]++
-	counts := false
 	for _, g := range dests {
 		if m.Contains(g, 0) {
-			counts = true
+			c.broadcasts++
 			break
 		}
 	}
 	id := c.core.Mcast(proto.PID(sender), dests, body)
-	c.countBroadcast(sender, id, counts)
+	if c.onBroadcast != nil {
+		c.onBroadcast(proto.PID(sender), id)
+	}
 	return id
 }
 
@@ -504,34 +462,24 @@ func newCluster(cfg Config, seed uint64) *cluster {
 	if cfg.Groups != nil {
 		c.crossFrac = cfg.CrossShard
 		c.mixRng = sim.NewRand(seed).Fork("mix")
-		c.mixDests = make([][2]int, cfg.N)
 	}
-	// Configurations that draw from shared random streams mid-window —
-	// a plan with lossy links, or groups-mode cross-shard mixing (active
-	// now, or activatable by a ShardMix load event) — only preserve the
-	// serial draw order inside a single conflict domain.
-	serialDomains := cfg.Plan.hasLinkLoss() ||
-		(cfg.Groups != nil && (cfg.CrossShard > 0 || cfg.Load.hasShardMix()))
 	c.core = NewCore(CoreConfig{
-		Algorithm:     cfg.Algorithm,
-		N:             cfg.N,
-		Lambda:        cfg.Lambda,
-		Topology:      cfg.Topology,
-		Groups:        cfg.Groups,
-		QoS:           qos,
-		Detector:      cfg.Detector,
-		Renumber:      !cfg.DisableRenumber,
-		Seed:          seed,
-		Parallel:      cfg.ParallelSim,
-		Workers:       cfg.SimWorkers,
-		SerialDomains: serialDomains,
-		PreCrashed:    cfg.preCrashOrder(),
+		Algorithm:  cfg.Algorithm,
+		N:          cfg.N,
+		Lambda:     cfg.Lambda,
+		Topology:   cfg.Topology,
+		Groups:     cfg.Groups,
+		QoS:        qos,
+		Detector:   cfg.Detector,
+		Renumber:   !cfg.DisableRenumber,
+		Seed:       seed,
+		PreCrashed: cfg.preCrashOrder(),
 		Deliver: func(pid proto.PID, id proto.MsgID, body any, at sim.Time) {
 			if pid == 0 {
 				c.deliveredAt0++
 			}
 			if c.onDeliver != nil {
-				c.onDeliver(pid, id, at)
+				c.onDeliver(pid, id)
 			}
 		},
 	})
@@ -616,6 +564,23 @@ type TransientConfig struct {
 	// Sender is the process whose probe message is measured. It must
 	// differ from Crash.
 	Sender proto.PID
+}
+
+// validate checks the embedded Config and the crash/sender pair: both
+// must name processes of the system, and they must differ.
+func (c TransientConfig) validate() error {
+	if err := c.Config.validate(); err != nil {
+		return err
+	}
+	switch {
+	case c.Crash < 0 || int(c.Crash) >= c.N:
+		return fmt.Errorf("experiment: crash-transient crashed process %d out of range for N=%d", c.Crash, c.N)
+	case c.Sender < 0 || int(c.Sender) >= c.N:
+		return fmt.Errorf("experiment: crash-transient sender %d out of range for N=%d", c.Sender, c.N)
+	case c.Crash == c.Sender:
+		return fmt.Errorf("experiment: crash-transient sender must differ from the crashed process %d", c.Crash)
+	}
+	return nil
 }
 
 // TransientResult reports the crash-transient latency L(p, q).

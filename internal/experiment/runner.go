@@ -135,11 +135,8 @@ func (r *Runner) TransientAll(cfgs []TransientConfig) []TransientResult {
 	reps := make([][]RepStats, len(cfgs))
 	for i, cfg := range cfgs {
 		cfg.Config = cfg.Config.withDefaults()
-		if err := cfg.Config.validate(); err != nil {
+		if err := cfg.validate(); err != nil {
 			panic(err)
-		}
-		if cfg.Crash == cfg.Sender {
-			panic("experiment: crash-transient sender must differ from the crashed process")
 		}
 		pts[i] = cfg
 		counts[i] = cfg.Replications

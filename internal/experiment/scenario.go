@@ -109,16 +109,16 @@ func runReplication(cfg Config, point, rep int, s Scenario) RepStats {
 		}
 	}
 
-	c.onDeliver = func(p proto.PID, id proto.MsgID, at sim.Time) {
-		d := Delivery{Process: p, ID: id, At: at}
+	c.onDeliver = func(p proto.PID, id proto.MsgID) {
+		d := Delivery{Process: p, ID: id, At: c.eng.Now()}
 		s.ObserveDelivery(d)
 		for _, o := range observers {
 			o.ObserveDelivery(d)
 		}
 	}
 	if len(bcastObservers) > 0 {
-		c.onBroadcast = func(sender proto.PID, id proto.MsgID, at sim.Time) {
-			b := Broadcast{Sender: sender, ID: id, At: at}
+		c.onBroadcast = func(sender proto.PID, id proto.MsgID) {
+			b := Broadcast{Sender: sender, ID: id, At: c.eng.Now()}
 			for _, o := range bcastObservers {
 				o.ObserveBroadcast(b)
 			}
@@ -243,16 +243,9 @@ func (s *steadyScenario) Setup(c *cluster) {
 		if id.Seq == 0 {
 			return // crashed sender (plan-driven): no load generated
 		}
-		// The firing runs in the sender's conflict domain: read its own
-		// clock, and defer the shared sent-map write to the window commit.
-		h := c.eng.For(sender)
-		now := h.Now()
+		now := c.eng.Now()
 		if now >= s.start && now < s.end {
-			if h.Deferring() {
-				h.Emit(func() { s.sent[id] = now })
-			} else {
-				s.sent[id] = now
-			}
+			s.sent[id] = now
 		}
 	})
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -72,6 +73,26 @@ func TestTraceReplayRoundTrip(t *testing.T) {
 		}
 		if rr.Recorded != digests[i].Digest || rr.Point != digests[i].Point || rr.Rep != digests[i].Rep {
 			t.Fatalf("replay %d = %+v, digest listing said %+v", i, rr, digests[i])
+		}
+	}
+
+	// Headers written by older builds carried execution-mode fields
+	// (parallelSim, simWorkers) that no longer exist; replay ignores
+	// unknown header fields, so those traces still match.
+	legacy := bytes.ReplaceAll(buf.Bytes(), []byte("C {"), []byte(`C {"parallelSim":true,"simWorkers":4,`))
+	if bytes.Count(legacy, []byte(`"parallelSim":true`)) != 4 {
+		t.Fatal("legacy header fields not inserted into every C record")
+	}
+	results, err = Replay(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatalf("Replay of legacy headers: %v", err)
+	}
+	if len(results) != 4 {
+		t.Fatalf("replayed %d legacy replications, want 4", len(results))
+	}
+	for _, rr := range results {
+		if !rr.Match {
+			t.Fatalf("legacy-header replication (point %d, rep %d) does not replay: %+v", rr.Point, rr.Rep, rr)
 		}
 	}
 }
@@ -182,5 +203,20 @@ func TestReplayRejectsTruncatedTrace(t *testing.T) {
 	}
 	if _, err := Replay(strings.NewReader("C not-json\n")); err == nil {
 		t.Fatal("bad header did not error")
+	}
+	// Transient headers whose crash/sender pair is out of range or equal
+	// must fail with an error before any replication runs.
+	const transient = `C {"kind":"transient","alg":1,"n":3,"throughput":10,"seed":1,"warmup":1,"measure":1,"drain":1,"replications":1,%s}` + "\nE 0000000000000000\n"
+	for _, pair := range []string{
+		`"crash":99,"sender":1`,
+		`"crash":0,"sender":-1`,
+		`"crash":-1,"sender":1`,
+		`"crash":1,"sender":3`,
+		`"crash":2,"sender":2`,
+		`"sender":0`,
+	} {
+		if _, err := Replay(strings.NewReader(fmt.Sprintf(transient, pair))); err == nil {
+			t.Fatalf("transient header with %s did not error", pair)
+		}
 	}
 }

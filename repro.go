@@ -382,9 +382,8 @@ func Star(n int) *Topology { return topo.Star(n) }
 func Ring(n int) *Topology { return topo.Ring(n) }
 
 // OneWayRing joins each process to its successor over a dedicated
-// unidirectional wire — the fully directed topology, and the canonical
-// multi-domain graph for ParallelSim: it splits into one conflict
-// domain per process with a lookahead of one wire traversal.
+// unidirectional wire — the fully directed topology, where a message to
+// the predecessor relays through every other process.
 func OneWayRing(n int) *Topology { return topo.OneWayRing(n) }
 
 // Clique joins every process pair with a dedicated wire — full direct
