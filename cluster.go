@@ -1,8 +1,8 @@
 package repro
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/experiment"
@@ -49,7 +49,13 @@ type NetStats struct {
 	Lost uint64
 }
 
-// ClusterConfig configures an interactive simulated cluster.
+// ClusterConfig configures an interactive simulated cluster. NewCluster
+// maps it onto a Config — PreCrashed is Config.Crashed, Heartbeat is
+// Config.Detector, every other shared field carries over by name — and
+// validates it with Config.Validate, so a cluster accepts exactly the
+// settings an experiment point accepts: in particular fewer than half of
+// the processes may be pre-crashed (f < n/2), and QoS is ignored when
+// Heartbeat is set.
 type ClusterConfig struct {
 	// Algorithm selects the atomic broadcast (default FD).
 	Algorithm Algorithm
@@ -62,9 +68,10 @@ type ClusterConfig struct {
 	QoS QoS
 	// Seed makes the run reproducible (default 1).
 	Seed uint64
-	// PreCrashed lists processes crashed long before the start. It is a
-	// constructor for the plan's PreCrash events — the two spellings
-	// produce bit-identical runs.
+	// PreCrashed lists processes crashed long before the start, fewer
+	// than N/2 of them together with the plan's PreCrash events. It is a
+	// constructor for those events — the two spellings produce
+	// bit-identical runs.
 	PreCrashed []int
 	// Plan is a fault- and environment-injection timeline installed at
 	// construction: crashes and recoveries, suspicion bursts, partitions
@@ -96,7 +103,7 @@ type ClusterConfig struct {
 	OnLoad func(at time.Duration, ev LoadEvent)
 	// Heartbeat, if non-nil, replaces the abstract QoS failure-detector
 	// model with a concrete heartbeat detector whose messages share the
-	// contended network (see internal/hbfd). QoS should then be zero.
+	// contended network (see internal/hbfd). QoS is then ignored.
 	Heartbeat *HeartbeatConfig
 	// Topology is the connectivity graph the network routes over: nil is
 	// FullMesh(N), the paper's shared Ethernet. The topology's N must
@@ -126,7 +133,10 @@ type HeartbeatConfig = experiment.Heartbeat
 
 // Cluster is an interactively driven simulated cluster running one of the
 // paper's atomic broadcast algorithms. All methods must be called from a
-// single goroutine; time only advances inside Run calls.
+// single goroutine; time only advances inside Run calls. It is a type
+// adapter over the experiment harness's cluster: a scripted session and
+// a measured replication run the same construction, fault and load
+// machinery.
 //
 // Faults — crashes, recoveries, wrong suspicions, partitions and heals,
 // link loss and delay — are FaultPlan events: give a full timeline in
@@ -141,33 +151,14 @@ type HeartbeatConfig = experiment.Heartbeat
 // supported for the FD algorithm only; NewCluster rejects a GM-algorithm
 // plan containing Recover events at construction.
 type Cluster struct {
-	cfg   ClusterConfig
-	eng   *sim.Engine
-	sys   *proto.System
-	bcast []func(body any) MessageID
-	// core is the shared builder's assembled system; recovery (hbfd
-	// restarts, GM rejoin incarnations) delegates to it.
-	core   *experiment.Core
-	faults *experiment.Faults
-	loads  *experiment.Loads
-	// sentBy counts A-broadcast calls per process: the ID-sequence base a
-	// recovered GM incarnation continues from (Core.SentBy).
-	sentBy []uint64
-	// crossFrac/mixRng/mixDests drive the workload's shard-local vs
-	// cross-shard mix in groups mode; mixRng is drawn only for mixing, so
-	// a zero fraction is bit-identical to a pure shard-local workload.
-	crossFrac float64
-	mixRng    *sim.Rand
-	mixDests  [2]int
+	x *experiment.Cluster
 }
 
-// NewCluster builds a cluster. It panics on invalid configuration.
+// NewCluster builds a cluster. It panics with an error on invalid
+// configuration.
 func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Algorithm == 0 {
 		cfg.Algorithm = FD
-	}
-	if cfg.N < 1 {
-		panic(fmt.Sprintf("repro: N = %d", cfg.N))
 	}
 	if cfg.Lambda == 0 {
 		cfg.Lambda = 1
@@ -175,73 +166,27 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if err := cfg.Plan.Validate(cfg.N); err != nil {
-		panic(err)
-	}
-	if cfg.Topology != nil && cfg.Topology.N != cfg.N {
-		panic(fmt.Sprintf("repro: topology %q is for %d processes, cluster has N=%d",
-			cfg.Topology.Name, cfg.Topology.N, cfg.N))
-	}
-	if err := cfg.Load.Validate(cfg.N); err != nil {
-		panic(err)
-	}
-	if cfg.Throughput < 0 {
-		panic("repro: negative throughput")
-	}
-	if cfg.Groups != nil {
-		if err := cfg.Groups.Validate(cfg.N, cfg.Topology); err != nil {
-			panic(err)
-		}
-		if cfg.Groups.Trivial() {
-			cfg.Groups = nil // single group covering everyone: the broadcast path
-		}
-	}
-	if cfg.CrossShard < 0 || cfg.CrossShard > 1 || cfg.CrossShard != cfg.CrossShard {
-		panic(fmt.Sprintf("repro: CrossShard = %v outside [0, 1]", cfg.CrossShard))
-	}
-	if cfg.Groups == nil {
-		if cfg.CrossShard != 0 {
-			panic("repro: CrossShard needs a multi-group ClusterConfig.Groups")
-		}
-		if cfg.Load != nil {
-			for _, ev := range cfg.Load.Events {
-				if _, ok := ev.(ShardMix); ok {
-					panic("repro: a ShardMix load event needs a multi-group ClusterConfig.Groups")
-				}
-			}
-		}
-	} else if cfg.Algorithm != FD && cfg.Plan != nil {
-		for _, ev := range cfg.Plan.Events {
-			if _, ok := ev.(Recover); ok {
-				panic("repro: crash-recovery is unsupported for the GM algorithms in groups mode")
-			}
-		}
-	}
-	// Pre-crashes: the PreCrashed list first, then the plan's PreCrash
-	// events, duplicates dropped.
-	var preOrder []proto.PID
-	preCrashed := make(map[proto.PID]bool, len(cfg.PreCrashed))
-	addPre := func(p proto.PID) {
-		if int(p) < 0 || int(p) >= cfg.N {
-			panic(fmt.Sprintf("repro: pre-crashed process %d out of range", p))
-		}
-		if !preCrashed[p] {
-			preCrashed[p] = true
-			preOrder = append(preOrder, p)
-		}
+	ecfg := experiment.Config{
+		Algorithm:  cfg.Algorithm,
+		N:          cfg.N,
+		Throughput: cfg.Throughput,
+		Lambda:     cfg.Lambda,
+		Topology:   cfg.Topology,
+		Groups:     cfg.Groups,
+		CrossShard: cfg.CrossShard,
+		QoS:        cfg.QoS,
+		Detector:   cfg.Heartbeat,
+		Plan:       cfg.Plan,
+		Load:       cfg.Load,
+		Seed:       cfg.Seed,
 	}
 	for _, p := range cfg.PreCrashed {
-		addPre(proto.PID(p))
+		ecfg.Crashed = append(ecfg.Crashed, proto.PID(p))
 	}
-	if cfg.Plan != nil {
-		for _, ev := range cfg.Plan.Events {
-			if pre, ok := ev.(PreCrash); ok {
-				addPre(pre.P)
-			}
-		}
+	if err := ecfg.Validate(); err != nil {
+		panic(err)
 	}
 
-	c := &Cluster{cfg: cfg}
 	var onView func(p proto.PID, v gm.View, at sim.Time)
 	if cfg.OnView != nil {
 		onView = func(pid proto.PID, v gm.View, at sim.Time) {
@@ -249,108 +194,46 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 			for i, m := range v.Members {
 				ms[i] = int(m)
 			}
-			cfg.OnView(ViewInfo{
-				Process: int(pid),
-				ViewID:  v.ID,
-				Members: ms,
-				At:      at.Duration(),
-			})
+			cfg.OnView(ViewInfo{Process: int(pid), ViewID: v.ID, Members: ms, At: at.Duration()})
 		}
 	}
-	c.core = experiment.NewCore(experiment.CoreConfig{
-		Algorithm:  cfg.Algorithm,
-		N:          cfg.N,
-		Lambda:     cfg.Lambda,
-		Topology:   cfg.Topology,
-		QoS:        cfg.QoS,
-		Detector:   cfg.Heartbeat,
-		Renumber:   true,
-		Seed:       cfg.Seed,
-		PreCrashed: preOrder,
-		Groups:     cfg.Groups,
-		Deliver: func(pid proto.PID, id proto.MsgID, body any, at sim.Time) {
-			if cfg.OnDeliver != nil {
-				cfg.OnDeliver(Delivery{
-					Process: int(pid),
-					ID:      id,
-					Body:    body,
-					At:      at.Duration(),
-				})
-			}
-		},
-		OnView: onView,
-	})
-	eng := c.core.Eng
-	c.eng = eng
-	c.sys = c.core.Sys
-	c.bcast = c.core.Bcast
-	c.sentBy = c.core.SentBy
-	c.faults = &experiment.Faults{
-		Sys:     c.sys,
-		Recover: c.core.Recover,
-		Healed:  c.core.Healed,
-		OnEvent: func(ev PlanEvent) {
-			if cfg.OnFault != nil {
-				cfg.OnFault(eng.Now().Duration(), ev)
-			}
-		},
-	}
-	if cfg.Plan != nil {
-		c.faults.Install(cfg.Plan)
-	}
-
-	// The Poisson workload: one source per non-pre-crashed process at
-	// rate Throughput/N (possibly zero, i.e. silent until a load event
-	// raises it), on an independent random stream — mirroring the
-	// experiment scenarios' Setup.
-	senders := make([]int, 0, len(c.core.Members))
-	for _, p := range c.core.Members {
-		senders = append(senders, int(p))
-	}
-	c.loads = experiment.NewSpreadLoads(eng, sim.NewRand(cfg.Seed).Fork("load"),
-		cfg.Throughput, cfg.N, senders, func(s int) {
-			if c.sys.Proc(proto.PID(s)).Crashed() {
-				return // crashed mid-run: no load generated
-			}
-			c.sentBy[s]++
-			if c.cfg.Groups != nil {
-				c.mixedMulticast(s, nil)
-				return
-			}
-			c.bcast[s](nil)
-		})
-	if cfg.Groups != nil {
-		c.crossFrac = cfg.CrossShard
-		c.mixRng = sim.NewRand(cfg.Seed).Fork("mix")
-		c.loads.OnShardMix = func(fraction float64) { c.crossFrac = fraction }
-	}
-	c.loads.OnEvent = func(ev LoadEvent) {
-		if cfg.OnLoad != nil {
-			cfg.OnLoad(eng.Now().Duration(), ev)
+	x := experiment.NewCluster(ecfg, cfg.Seed, onView)
+	if cfg.OnDeliver != nil {
+		x.OnDeliver = func(pid proto.PID, id proto.MsgID, body any) {
+			cfg.OnDeliver(Delivery{Process: int(pid), ID: id, Body: body, At: x.Eng.Now().Duration()})
 		}
 	}
-	if cfg.Load != nil {
-		c.loads.Install(cfg.Load)
+	if cfg.OnFault != nil {
+		x.OnPlanEvent = func(ev PlanEvent) { cfg.OnFault(x.Eng.Now().Duration(), ev) }
 	}
-	return c
+	if cfg.OnLoad != nil {
+		x.OnLoadEvent = func(ev LoadEvent) { cfg.OnLoad(x.Eng.Now().Duration(), ev) }
+	}
+	x.StartLoad(func(s int) { x.Submit(s, nil) })
+	return &Cluster{x: x}
 }
 
 // Now returns the current virtual time.
-func (c *Cluster) Now() time.Duration { return c.eng.Now().Duration() }
+func (c *Cluster) Now() time.Duration { return c.x.Eng.Now().Duration() }
+
+// checkProc panics unless p names a process of the cluster.
+func (c *Cluster) checkProc(p int) {
+	if p < 0 || p >= c.x.Cfg.N {
+		panic(fmt.Errorf("repro: process %d out of range for N=%d", p, c.x.Cfg.N))
+	}
+}
 
 // Broadcast A-broadcasts body from process p at the current instant and
 // returns the message ID.
 func (c *Cluster) Broadcast(p int, body any) MessageID {
-	c.sentBy[p]++
-	return c.bcast[p](body)
+	c.checkProc(p)
+	return c.x.Broadcast(p, body)
 }
 
 // BroadcastAt schedules an A-broadcast from process p at virtual time at.
 func (c *Cluster) BroadcastAt(p int, at time.Duration, body any) {
-	c.eng.Schedule(sim.Time(at), func() {
-		c.sentBy[p]++
-		c.bcast[p](body)
-	})
+	c.checkProc(p)
+	c.x.Eng.Schedule(sim.Time(at), func() { c.x.Broadcast(p, body) })
 }
 
 // Multicast A-multicasts body from process p to the given destination
@@ -359,49 +242,16 @@ func (c *Cluster) BroadcastAt(p int, at time.Duration, body any) {
 // member of the destination groups in one total order. Groups mode only
 // (ClusterConfig.Groups non-nil); destinations may come in any order.
 func (c *Cluster) Multicast(p int, dests []int, body any) MessageID {
-	c.sentBy[p]++
-	return c.multicast(p, dests, body)
+	c.checkProc(p)
+	return c.x.Multicast(p, dests, body)
 }
 
 // MulticastAt schedules an A-multicast from process p to the given
 // destination groups at virtual time at.
 func (c *Cluster) MulticastAt(p int, at time.Duration, dests []int, body any) {
+	c.checkProc(p)
 	ds := append([]int(nil), dests...)
-	c.eng.Schedule(sim.Time(at), func() {
-		c.sentBy[p]++
-		c.multicast(p, ds, body)
-	})
-}
-
-func (c *Cluster) multicast(p int, dests []int, body any) MessageID {
-	if c.cfg.Groups == nil {
-		panic("repro: Multicast needs a multi-group ClusterConfig.Groups")
-	}
-	ds := append([]int(nil), dests...)
-	sort.Ints(ds)
-	return c.core.Mcast(proto.PID(p), ds, body)
-}
-
-// mixedMulticast sends one workload message from s: shard-local to its
-// home group, or — with probability crossFrac — to the home group plus
-// one uniformly random other group (the experiment workload's mix).
-func (c *Cluster) mixedMulticast(s int, body any) {
-	m := c.cfg.Groups
-	dests := c.mixDests[:1]
-	home := m.Home(proto.PID(s))
-	dests[0] = home
-	if c.crossFrac > 0 && m.NumGroups() > 1 && c.mixRng.Float64() < c.crossFrac {
-		other := c.mixRng.Intn(m.NumGroups() - 1)
-		if other >= home {
-			other++
-		}
-		if other < home {
-			dests = append(dests[:0], other, home)
-		} else {
-			dests = append(dests, other)
-		}
-	}
-	c.core.Mcast(proto.PID(s), dests, body)
+	c.x.Eng.Schedule(sim.Time(at), func() { c.x.Multicast(p, ds, body) })
 }
 
 // Apply schedules one fault-plan event at its instant — the primitive
@@ -409,12 +259,12 @@ func (c *Cluster) mixedMulticast(s int, body any) {
 // event or one scheduled in the simulation's past.
 func (c *Cluster) Apply(ev PlanEvent) {
 	if _, pre := ev.(PreCrash); pre {
-		panic("repro: PreCrash is an initial condition; list it in ClusterConfig")
+		panic(errors.New("repro: PreCrash is an initial condition; list it in ClusterConfig"))
 	}
-	if err := (&FaultPlan{Events: []PlanEvent{ev}}).Validate(c.cfg.N); err != nil {
+	if err := (&FaultPlan{Events: []PlanEvent{ev}}).Validate(c.x.Cfg.N); err != nil {
 		panic(err)
 	}
-	c.faults.Schedule(ev)
+	c.x.Faults.Schedule(ev)
 }
 
 // CrashAt schedules a crash of process p at virtual time at.
@@ -470,10 +320,10 @@ func (c *Cluster) SetLinkAt(at time.Duration, from, to int, loss float64, extraD
 // It panics on an invalid event or one scheduled in the simulation's
 // past.
 func (c *Cluster) ApplyLoad(ev LoadEvent) {
-	if err := (&LoadPlan{Events: []LoadEvent{ev}}).Validate(c.cfg.N); err != nil {
+	if err := (&LoadPlan{Events: []LoadEvent{ev}}).Validate(c.x.Cfg.N); err != nil {
 		panic(err)
 	}
-	c.loads.Schedule(ev)
+	c.x.Loads.Schedule(ev)
 }
 
 // SetRateAt schedules a rate change at virtual time at: sender
@@ -507,8 +357,8 @@ func (c *Cluster) UnmuteAt(at time.Duration, sender int) {
 // fraction at virtual time at (groups mode only): fraction of messages
 // go cross-shard from then on, the rest stay shard-local.
 func (c *Cluster) ShardMixAt(at time.Duration, fraction float64) {
-	if c.cfg.Groups == nil {
-		panic("repro: ShardMixAt needs a multi-group ClusterConfig.Groups")
+	if c.x.Coord == nil {
+		panic(errors.New("repro: ShardMixAt needs a multi-group ClusterConfig.Groups"))
 	}
 	c.ApplyLoad(ShardMix{At: at, Fraction: fraction})
 }
@@ -522,7 +372,7 @@ func (c *Cluster) ResumeAt(at time.Duration) { c.ApplyLoad(Resume{At: at}) }
 
 // Run advances virtual time by d, processing all events on the way.
 func (c *Cluster) Run(d time.Duration) {
-	c.eng.RunUntil(c.eng.Now().Add(d))
+	c.x.Eng.RunUntil(c.x.Eng.Now().Add(d))
 }
 
 // RunUntilIdle processes events until none remain. A cluster whose
@@ -530,14 +380,14 @@ func (c *Cluster) Run(d time.Duration) {
 // forever — so pause or silence the workload (PauseAt, SetRateAt with
 // rate 0) before draining with this method; use Run to advance a live
 // workload by a bounded amount instead.
-func (c *Cluster) RunUntilIdle() { c.eng.Run() }
+func (c *Cluster) RunUntilIdle() { c.x.Eng.Run() }
 
 // Crashed reports whether process p has crashed.
-func (c *Cluster) Crashed(p int) bool { return c.sys.Proc(proto.PID(p)).Crashed() }
+func (c *Cluster) Crashed(p int) bool { return c.x.Sys.Proc(proto.PID(p)).Crashed() }
 
 // Stats snapshots network activity so far.
 func (c *Cluster) Stats() NetStats {
-	counters := c.sys.Net.Counters()
+	counters := c.x.Sys.Net.Counters()
 	return NetStats{
 		Unicasts:   counters.Unicasts,
 		Multicasts: counters.Multicasts,
@@ -551,10 +401,10 @@ func (c *Cluster) Stats() NetStats {
 // printing Fig. 1-style message diagrams; see examples/trace.
 func (c *Cluster) SetTrace(fn func(NetEvent)) {
 	if fn == nil {
-		c.sys.Net.SetTrace(nil)
+		c.x.Sys.Net.SetTrace(nil)
 		return
 	}
-	c.sys.Net.SetTrace(func(ev netmodel.TraceEvent) {
+	c.x.Sys.Net.SetTrace(func(ev netmodel.TraceEvent) {
 		fn(NetEvent{
 			Stage:   ev.Kind.String(),
 			From:    ev.From,

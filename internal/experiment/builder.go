@@ -16,11 +16,11 @@ import (
 	"repro/internal/topo"
 )
 
-// CoreConfig parameterises the shared cluster builder. Both the
-// experiment harness (newCluster) and the interactive facade
-// (repro.NewCluster) construct their simulated systems through NewCore,
-// so the per-process endpoint and recovery bookkeeping — heartbeat
-// wrapping, GM rejoin incarnations, broadcast-sequence bases — lives in
+// CoreConfig parameterises the stack builder NewCore. Cluster builds
+// every simulated system through it — every experiment replication and,
+// through the type adapter in package repro, the interactive Cluster —
+// so the per-process endpoint and recovery bookkeeping (heartbeat
+// wrapping, GM rejoin incarnations, broadcast-sequence bases) lives in
 // exactly one place.
 //
 // Callers pass already-validated, already-defaulted values: NewCore
@@ -44,9 +44,8 @@ type CoreConfig struct {
 	// map (one group covering everyone) is normalized to nil, keeping the
 	// plain broadcast path bit-identical.
 	Groups *groups.GroupMap
-	// QoS parameterises the modelled failure detectors. The experiment
-	// harness silences it when a concrete Detector is configured; the
-	// interactive facade passes it through as given. NewCore applies
+	// QoS parameterises the modelled failure detectors. NewCluster
+	// silences it when a concrete Detector is configured; NewCore applies
 	// whatever it receives.
 	QoS fd.QoS
 	// Detector, if non-nil, wraps every endpoint in the concrete
@@ -79,18 +78,14 @@ type Core struct {
 	// Bcast[p] is process p's A-broadcast entry point; recovery refreshes
 	// the entries of rebuilt incarnations in place.
 	Bcast []func(body any) proto.MsgID
-	// Wrappers holds the heartbeat detectors when Detector is set.
-	Wrappers []*hbfd.Wrapper
 	// SentBy counts the A-broadcasts issued per process — callers
 	// increment it; a recovered GM incarnation continues its ID sequence
 	// from it.
 	SentBy []uint64
 	// Members lists the processes alive at start (everyone not
-	// pre-crashed), ascending: the initial GM view.
+	// pre-crashed), ascending: the initial GM view and the workload's
+	// senders.
 	Members []proto.PID
-	// FDProcs holds the ctabcast endpoints when Algorithm is FD (nil
-	// entries otherwise): Recover and Healed arm their catch-up probes.
-	FDProcs []*ctabcast.Process
 	// Mcast is the destination-group-addressed multicast entry point,
 	// non-nil only in groups mode: it initiates a genuine multicast from
 	// p to the listed groups (sorted, unique) and returns its global id.
@@ -99,10 +94,11 @@ type Core struct {
 	// mode.
 	Coord *groups.Coordinator
 
-	// endpoint[p] constructs one protocol-stack incarnation of process p;
-	// Recover uses it to rebuild after a GM crash-recovery.
-	endpoint []func(rt proto.Runtime, rejoin bool) proto.Handler
-	alg      Algorithm
+	cfg CoreConfig
+	// stacks[p] is process p's current stack incarnation (ungrouped mode
+	// only): Recover and Healed restart its detector and arm its FD
+	// catch-up probe.
+	stacks []groups.Endpoint
 }
 
 // NewCore builds engine + network + detectors + algorithm stacks and
@@ -129,94 +125,31 @@ func NewCore(cfg CoreConfig) *Core {
 	}
 	sys := proto.NewSystem(eng, netCfg, cfg.QoS, sim.NewRand(cfg.Seed))
 	c := &Core{
-		Eng:      eng,
-		Sys:      sys,
-		Bcast:    make([]func(any) proto.MsgID, cfg.N),
-		Wrappers: make([]*hbfd.Wrapper, cfg.N),
-		SentBy:   make([]uint64, cfg.N),
-		FDProcs:  make([]*ctabcast.Process, cfg.N),
-		endpoint: make([]func(proto.Runtime, bool) proto.Handler, cfg.N),
-		alg:      cfg.Algorithm,
+		Eng:    eng,
+		Sys:    sys,
+		Bcast:  make([]func(any) proto.MsgID, cfg.N),
+		SentBy: make([]uint64, cfg.N),
+		cfg:    cfg,
 	}
 
-	crashed := make(map[proto.PID]bool, len(cfg.PreCrashed))
+	pre := make([]bool, cfg.N)
 	for _, p := range cfg.PreCrashed {
-		crashed[p] = true
+		pre[p] = true
 	}
 	for p := 0; p < cfg.N; p++ {
-		if !crashed[proto.PID(p)] {
+		if !pre[p] {
 			c.Members = append(c.Members, proto.PID(p))
 		}
 	}
 
 	if cfg.Groups != nil {
-		c.buildGroups(cfg, sys)
-		for _, p := range cfg.PreCrashed {
-			sys.PreCrash(p)
+		c.buildGroups(sys, pre)
+	} else {
+		c.stacks = make([]groups.Endpoint, cfg.N)
+		for p := 0; p < cfg.N; p++ {
+			pid := proto.PID(p)
+			sys.SetHandler(pid, c.endpoint(pid, sys.Proc(pid), false))
 		}
-		sys.Start()
-		return c
-	}
-
-	for p := 0; p < cfg.N; p++ {
-		p := p
-		pid := proto.PID(p)
-		deliver := func(id proto.MsgID, body any) {
-			cfg.Deliver(pid, id, body, eng.Now())
-		}
-		// build constructs the algorithm endpoint against rt and returns
-		// the handler plus the broadcast entry point; rt is the plain
-		// process runtime, or the heartbeat wrapper's when Detector is
-		// set. rejoin marks a recovered GM incarnation: its initial view
-		// omits itself (so it starts excluded and rejoins through the
-		// membership service) and its message IDs continue the previous
-		// incarnations' sequence.
-		build := func(rt proto.Runtime, rejoin bool) (proto.Handler, func(any) proto.MsgID) {
-			switch cfg.Algorithm {
-			case FD:
-				proc := ctabcast.New(rt, ctabcast.Config{
-					Deliver:  deliver,
-					Renumber: cfg.Renumber,
-				})
-				c.FDProcs[p] = proc
-				return proc, proc.ABroadcast
-			case GM, GMNonUniform:
-				scfg := seqabcast.Config{
-					Deliver:        deliver,
-					Uniform:        cfg.Algorithm == GM,
-					InitialMembers: c.Members,
-				}
-				if rejoin {
-					scfg.InitialMembers = withoutPID(c.Members, pid)
-					scfg.SeqBase = c.SentBy[p]
-				}
-				if cfg.OnView != nil {
-					scfg.OnView = func(v gm.View) {
-						cfg.OnView(pid, v, eng.Now())
-					}
-				}
-				proc := seqabcast.New(rt, scfg)
-				return proc, proc.ABroadcast
-			default:
-				panic(fmt.Sprintf("experiment: unknown algorithm %v", cfg.Algorithm))
-			}
-		}
-		c.endpoint[p] = func(rt proto.Runtime, rejoin bool) proto.Handler {
-			if hb := cfg.Detector; hb != nil {
-				w := hbfd.Wrap(rt, hbfd.Config{Interval: hb.Interval, Timeout: hb.Timeout},
-					func(inner proto.Runtime) proto.Handler {
-						h, bc := build(inner, rejoin)
-						c.Bcast[p] = bc
-						return h
-					})
-				c.Wrappers[p] = w
-				return w
-			}
-			h, bc := build(rt, rejoin)
-			c.Bcast[p] = bc
-			return h
-		}
-		sys.SetHandler(pid, c.endpoint[p](sys.Proc(pid), false))
 	}
 	for _, p := range cfg.PreCrashed {
 		sys.PreCrash(p)
@@ -225,62 +158,91 @@ func NewCore(cfg CoreConfig) *Core {
 	return c
 }
 
+// newStack builds one incarnation of cfg's protocol stack on rt: a
+// ctabcast endpoint for FD or a seqabcast endpoint for the GM
+// algorithms, wrapped in the heartbeat detector when cfg.Detector is
+// set. gmCfg carries the delivery callback — the only part the FD stack
+// uses — plus the GM stack's initial view, ID-sequence base and view
+// observer. The ungrouped endpoints and every group instance are built
+// here.
+func newStack(cfg *CoreConfig, rt proto.Runtime, gmCfg seqabcast.Config) groups.Endpoint {
+	var ep groups.Endpoint
+	build := func(rt proto.Runtime) proto.Handler {
+		switch cfg.Algorithm {
+		case FD:
+			proc := ctabcast.New(rt, ctabcast.Config{Deliver: gmCfg.Deliver, Renumber: cfg.Renumber})
+			ep.ABroadcast, ep.Resume = proc.ABroadcast, proc.Resume
+			return proc
+		case GM, GMNonUniform:
+			gmCfg.Uniform = cfg.Algorithm == GM
+			proc := seqabcast.New(rt, gmCfg)
+			ep.ABroadcast = proc.ABroadcast
+			return proc
+		default:
+			panic(fmt.Sprintf("experiment: unknown algorithm %v", cfg.Algorithm))
+		}
+	}
+	if hb := cfg.Detector; hb != nil {
+		w := hbfd.Wrap(rt, hbfd.Config{Interval: hb.Interval, Timeout: hb.Timeout}, build)
+		ep.Handler, ep.Restart = w, w.Restart
+	} else {
+		ep.Handler = build(rt)
+	}
+	return ep
+}
+
+// endpoint builds one ungrouped stack incarnation of process p on rt and
+// records its entry points. rejoin marks a recovered GM incarnation: its
+// initial view omits itself (so it starts excluded and rejoins through
+// the membership service) and its message IDs continue the previous
+// incarnations' sequence.
+func (c *Core) endpoint(p proto.PID, rt proto.Runtime, rejoin bool) proto.Handler {
+	cfg := &c.cfg
+	gmCfg := seqabcast.Config{
+		Deliver: func(id proto.MsgID, body any) {
+			cfg.Deliver(p, id, body, c.Eng.Now())
+		},
+		InitialMembers: c.Members,
+	}
+	if rejoin {
+		gmCfg.InitialMembers = withoutPID(c.Members, p)
+		gmCfg.SeqBase = c.SentBy[p]
+	}
+	if cfg.OnView != nil {
+		gmCfg.OnView = func(v gm.View) { cfg.OnView(p, v, c.Eng.Now()) }
+	}
+	ep := newStack(cfg, rt, gmCfg)
+	c.stacks[p] = ep
+	c.Bcast[p] = ep.ABroadcast
+	return ep.Handler
+}
+
 // buildGroups assembles the groups-mode system: one groups.Router per
 // process as the root handler, owning one protocol instance per group
-// the process belongs to. Each instance is the same FD or GM stack the
-// ungrouped path builds — constructed here through a factory that runs
-// it in the group's local id space — and the router's timestamp merge
-// provides the cross-group total order.
-func (c *Core) buildGroups(cfg CoreConfig, sys *proto.System) {
-	pre := make([]bool, cfg.N)
-	for _, p := range cfg.PreCrashed {
-		pre[p] = true
-	}
+// the process belongs to. Each instance is the stack newStack builds,
+// running in the group's local id space, and the router's timestamp
+// merge provides the cross-group total order. pre marks the
+// pre-crashed processes.
+func (c *Core) buildGroups(sys *proto.System, pre []bool) {
+	cfg := &c.cfg
 	factory := func(ic groups.InstanceConfig) groups.Endpoint {
-		var ep groups.Endpoint
-		build := func(rt proto.Runtime) proto.Handler {
-			switch cfg.Algorithm {
-			case FD:
-				proc := ctabcast.New(rt, ctabcast.Config{
-					Deliver:  func(_ proto.MsgID, body any) { ic.Deliver(body) },
-					Renumber: cfg.Renumber,
-				})
-				ep.ABroadcast = proc.ABroadcast
-				ep.Resume = proc.Resume
-				return proc
-			case GM, GMNonUniform:
-				scfg := seqabcast.Config{
-					Deliver:        func(_ proto.MsgID, body any) { ic.Deliver(body) },
-					Uniform:        cfg.Algorithm == GM,
-					InitialMembers: ic.InitialLocal,
+		gmCfg := seqabcast.Config{
+			Deliver:        func(_ proto.MsgID, body any) { ic.Deliver(body) },
+			InitialMembers: ic.InitialLocal,
+		}
+		if cfg.OnView != nil {
+			global := ic.Members[ic.Local]
+			gmCfg.OnView = func(v gm.View) {
+				// Report view members in global pids; the view id
+				// sequence is the group's own.
+				mapped := gm.View{ID: v.ID, Members: make([]proto.PID, len(v.Members))}
+				for i, lq := range v.Members {
+					mapped.Members[i] = ic.Members[lq]
 				}
-				if cfg.OnView != nil {
-					global := ic.Members[ic.Local]
-					scfg.OnView = func(v gm.View) {
-						// Report view members in global pids; the view id
-						// sequence is the group's own.
-						mapped := gm.View{ID: v.ID, Members: make([]proto.PID, len(v.Members))}
-						for i, lq := range v.Members {
-							mapped.Members[i] = ic.Members[lq]
-						}
-						cfg.OnView(global, mapped, c.Eng.Now())
-					}
-				}
-				proc := seqabcast.New(rt, scfg)
-				ep.ABroadcast = proc.ABroadcast
-				return proc
-			default:
-				panic(fmt.Sprintf("experiment: unknown algorithm %v", cfg.Algorithm))
+				cfg.OnView(global, mapped, c.Eng.Now())
 			}
 		}
-		if hb := cfg.Detector; hb != nil {
-			w := hbfd.Wrap(ic.Runtime, hbfd.Config{Interval: hb.Interval, Timeout: hb.Timeout}, build)
-			ep.Restart = w.Restart
-			ep.Handler = w
-		} else {
-			ep.Handler = build(ic.Runtime)
-		}
-		return ep
+		return newStack(cfg, ic.Runtime, gmCfg)
 	}
 	coord := groups.NewCoordinator(sys, cfg.Groups, pre, factory, cfg.Deliver)
 	c.Coord = coord
@@ -313,25 +275,26 @@ func (c *Core) Recover(p proto.PID) {
 		// Groups mode: every group instance is an FD stack with its state
 		// intact; restart the detector and arm each instance's catch-up
 		// probe. The GM algorithms would need a per-group rejoin protocol,
-		// which the group layer does not model — validate() rejects that
+		// which the group layer does not model — Validate rejects that
 		// combination, so reaching here is a bug.
-		if c.alg != FD {
+		if c.cfg.Algorithm != FD {
 			panic("experiment: crash-recovery is unsupported for the GM algorithms in groups mode")
 		}
 		c.Sys.Recover(p, nil)
 		c.Coord.Router(p).Recovered()
 		return
 	}
-	if c.alg == FD {
+	if c.cfg.Algorithm == FD {
 		c.Sys.Recover(p, nil)
-		if w := c.Wrappers[p]; w != nil {
-			w.Restart()
+		ep := c.stacks[p]
+		if ep.Restart != nil {
+			ep.Restart()
 		}
-		c.FDProcs[p].Resume()
+		ep.Resume()
 		return
 	}
 	c.Sys.Recover(p, func(rt proto.Runtime) proto.Handler {
-		return c.endpoint[p](rt, true)
+		return c.endpoint(p, rt, true)
 	})
 }
 
@@ -342,20 +305,17 @@ func (c *Core) Recover(p proto.PID) {
 // own staleness probe off the heal's trust edges, so this is a no-op
 // for them. Probes on processes that were not behind disarm silently.
 func (c *Core) Healed() {
-	if c.alg != FD {
+	if c.cfg.Algorithm != FD {
 		return
 	}
-	if c.Coord != nil {
-		for p := 0; p < c.Coord.Map().N(); p++ {
-			if !c.Sys.Proc(proto.PID(p)).Crashed() {
-				c.Coord.Router(proto.PID(p)).Resumed()
-			}
+	for p := 0; p < c.cfg.N; p++ {
+		if c.Sys.Proc(proto.PID(p)).Crashed() {
+			continue
 		}
-		return
-	}
-	for p, proc := range c.FDProcs {
-		if proc != nil && !c.Sys.Proc(proto.PID(p)).Crashed() {
-			proc.Resume()
+		if c.Coord != nil {
+			c.Coord.Router(proto.PID(p)).Resumed()
+		} else {
+			c.stacks[p].Resume()
 		}
 	}
 }

@@ -28,10 +28,13 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/fd"
+	"repro/internal/gm"
 	"repro/internal/groups"
 	"repro/internal/proto"
 	"repro/internal/sim"
@@ -219,7 +222,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) validate() error {
+// Validate checks the configuration: every range, the topology, the
+// fault and load plans, the groups map and the combinations they forbid,
+// and the f < n/2 bound on pre-crashed processes. NewCluster assumes it
+// passed; the Runner, Replay and repro.NewCluster call it once per
+// configuration.
+func (c Config) Validate() error {
 	switch {
 	case c.Algorithm < FD || c.Algorithm > GMNonUniform:
 		return fmt.Errorf("experiment: unknown algorithm %d", int(c.Algorithm))
@@ -260,6 +268,11 @@ func (c Config) validate() error {
 		}
 		if c.Load.hasShardMix() {
 			return fmt.Errorf("experiment: load plan carries a shardmix event without a (non-trivial) Groups map")
+		}
+	}
+	for _, p := range c.Crashed {
+		if p < 0 || int(p) >= c.N {
+			return fmt.Errorf("experiment: pre-crashed process %d out of range for N=%d", p, c.N)
 		}
 	}
 	if pre := len(c.preCrashOrder()); pre >= (c.N+1)/2 {
@@ -335,117 +348,59 @@ type Result struct {
 // under legitimate load are orders of magnitude smaller.
 const DivergenceBacklog = 2000
 
-// cluster assembles one simulated system running one algorithm. The
-// engine, network, detectors and per-process protocol stacks are built
-// by the shared Core builder (see builder.go); cluster adds the
-// experiment harness's concerns — backlog accounting, observers, fault
-// and load installation.
-type cluster struct {
-	cfg   Config
-	core  *Core
-	eng   *sim.Engine
-	sys   *proto.System
-	bcast []func(body any) proto.MsgID
-	// faults is the replication's single fault-injection path: the plan
-	// installs through it and scripted scenario faults fire through it.
-	faults *Faults
-	// loads is the replication's single workload-shaping path, built by
-	// setupLoad when the scenario installs its workload; Config.Load
-	// installs through it.
-	loads *Loads
-	// sentBy counts the A-broadcasts issued per process, the ID-sequence
-	// base a recovered GM incarnation continues from (Core.SentBy).
-	sentBy []uint64
-	// onDeliver is invoked for every A-delivery at every process.
-	onDeliver func(p proto.PID, id proto.MsgID)
-	// onBroadcast, if non-nil, is invoked for every A-broadcast issued
-	// through broadcast() — the feed of BroadcastObservers.
-	onBroadcast func(sender proto.PID, id proto.MsgID)
-	// onPlanEvent, if non-nil, observes plan events as they apply — the
-	// feed of PlanObservers.
-	onPlanEvent func(ev PlanEvent)
-	// onLoadEvent, if non-nil, observes load events as they apply — the
-	// feed of LoadObservers.
-	onLoadEvent func(ev LoadEvent)
+// Cluster is one simulated system running one algorithm: the Core
+// (engine, network, detectors, per-process protocol stacks) plus the
+// fault and load installers, the workload's destination mix, and the
+// backlog accounting behind divergence detection. It is the only
+// cluster: every experiment replication builds one, and repro.Cluster is
+// a type adapter over one, so validation, pre-crash handling, fault and
+// load installation and the groups-mode shard mix cannot differ between
+// a scripted session and a measured replication.
+type Cluster struct {
+	*Core
+	// Cfg is the configuration the cluster was built from.
+	Cfg Config
+	// Faults is the cluster's single fault-injection path: Cfg.Plan
+	// installs through it and scripted faults fire through it.
+	Faults *Faults
+	// Loads is the cluster's single workload-shaping path, nil until
+	// StartLoad installs the workload; Cfg.Load installs through it.
+	Loads *Loads
+	// OnDeliver, if non-nil, observes every A-delivery at every process.
+	OnDeliver func(p proto.PID, id proto.MsgID, body any)
+	// OnBroadcast, if non-nil, observes every A-broadcast issued through
+	// Submit — the feed of BroadcastObservers.
+	OnBroadcast func(sender proto.PID, id proto.MsgID)
+	// OnPlanEvent, if non-nil, observes plan events as they apply.
+	OnPlanEvent func(ev PlanEvent)
+	// OnLoadEvent, if non-nil, observes load events as they apply.
+	OnLoadEvent func(ev LoadEvent)
+
+	seed uint64
 	// broadcasts and deliveredAt0 are the backlog accounting used for
-	// divergence detection: every broadcast issued through broadcast()
-	// versus deliveries observed at process 0 (always alive in steady
+	// divergence detection: every broadcast issued through Submit versus
+	// deliveries observed at process 0 (always alive in steady
 	// scenarios: crash-steady crashes the highest PIDs). In groups mode
 	// only multicasts whose destination groups contain p0 count — p0
 	// never delivers the rest.
 	broadcasts   int
 	deliveredAt0 int
 	// crossFrac and mixRng drive the groups-mode destination choice:
-	// each broadcast goes to the sender's home group, plus one other
-	// group with probability crossFrac, drawn from the dedicated "mix"
-	// stream (unused in broadcast mode, so a zero fraction consumes no
-	// randomness and shard-local-only runs are insensitive to it).
+	// each workload message goes to the sender's home group, plus one
+	// other group with probability crossFrac, drawn from the dedicated
+	// "mix" stream (unused in broadcast mode, so a zero fraction consumes
+	// no randomness and shard-local-only runs are insensitive to it).
 	crossFrac float64
 	mixRng    *sim.Rand
 	mixDests  [2]int
 }
 
-// broadcast A-broadcasts body from sender and maintains the backlog
-// accounting. Scenarios must broadcast through it rather than calling
-// bcast directly. A crashed sender generates no load: the zero MsgID is
-// returned and nothing is counted (a message ID's Seq is always >= 1, so
-// the zero ID is unambiguous).
-func (c *cluster) broadcast(sender int, body any) proto.MsgID {
-	if c.sys.Proc(proto.PID(sender)).Crashed() {
-		return proto.MsgID{}
-	}
-	if m := c.cfg.Groups; m != nil {
-		return c.multicastMixed(m, sender, body)
-	}
-	c.broadcasts++
-	c.sentBy[sender]++
-	id := c.bcast[sender](body)
-	if c.onBroadcast != nil {
-		c.onBroadcast(proto.PID(sender), id)
-	}
-	return id
-}
-
-// multicastMixed issues one groups-mode broadcast: to the sender's home
-// group, plus one uniformly-drawn other group with probability
-// crossFrac. Only messages whose destinations contain p0 count toward
-// the divergence backlog — p0 never delivers the rest.
-func (c *cluster) multicastMixed(m *groups.GroupMap, sender int, body any) proto.MsgID {
-	home := m.Home(proto.PID(sender))
-	dests := c.mixDests[:1]
-	dests[0] = home
-	if c.crossFrac > 0 && m.NumGroups() > 1 && c.mixRng.Float64() < c.crossFrac {
-		other := c.mixRng.Intn(m.NumGroups() - 1)
-		if other >= home {
-			other++
-		}
-		if other < home {
-			dests = append(dests[:0], other, home)
-		} else {
-			dests = append(dests, other)
-		}
-	}
-	c.sentBy[sender]++
-	for _, g := range dests {
-		if m.Contains(g, 0) {
-			c.broadcasts++
-			break
-		}
-	}
-	id := c.core.Mcast(proto.PID(sender), dests, body)
-	if c.onBroadcast != nil {
-		c.onBroadcast(proto.PID(sender), id)
-	}
-	return id
-}
-
-// backlog returns the number of broadcasts not yet delivered at p0.
-func (c *cluster) backlog() int { return c.broadcasts - c.deliveredAt0 }
-
-// newCluster builds engine + network + detectors + algorithm stack
-// through the shared Core builder, and installs the configuration's
-// fault plan.
-func newCluster(cfg Config, seed uint64) *cluster {
+// NewCluster builds engine + network + detectors + algorithm stacks
+// through NewCore with the given seed as the root of every random
+// stream, and installs cfg.Plan. cfg must have defaults applied and have
+// passed Validate; callers validate once per configuration, not once per
+// replication. onView, if non-nil, observes GM view installations.
+func NewCluster(cfg Config, seed uint64, onView func(p proto.PID, v gm.View, at sim.Time)) *Cluster {
 	qos := cfg.QoS
 	if cfg.Detector != nil {
 		// The concrete heartbeat detector replaces the abstract model:
@@ -453,17 +408,8 @@ func newCluster(cfg Config, seed uint64) *cluster {
 		// Detector point is bit-identical whatever QoS it inherited.
 		qos = fd.QoS{}
 	}
-	if cfg.Groups != nil && cfg.Groups.Trivial() {
-		// Normalize here too (NewCore normalizes its own copy): the
-		// cluster's broadcast path keys off cfg.Groups.
-		cfg.Groups = nil
-	}
-	c := &cluster{cfg: cfg}
-	if cfg.Groups != nil {
-		c.crossFrac = cfg.CrossShard
-		c.mixRng = sim.NewRand(seed).Fork("mix")
-	}
-	c.core = NewCore(CoreConfig{
+	c := &Cluster{Cfg: cfg, seed: seed, crossFrac: cfg.CrossShard}
+	c.Core = NewCore(CoreConfig{
 		Algorithm:  cfg.Algorithm,
 		N:          cfg.N,
 		Lambda:     cfg.Lambda,
@@ -478,66 +424,134 @@ func newCluster(cfg Config, seed uint64) *cluster {
 			if pid == 0 {
 				c.deliveredAt0++
 			}
-			if c.onDeliver != nil {
-				c.onDeliver(pid, id)
+			if c.OnDeliver != nil {
+				c.OnDeliver(pid, id, body)
 			}
 		},
+		OnView: onView,
 	})
-	c.eng = c.core.Eng
-	c.sys = c.core.Sys
-	c.bcast = c.core.Bcast
-	c.sentBy = c.core.SentBy
-	c.faults = &Faults{
-		Sys:     c.sys,
-		Recover: c.core.Recover,
-		Healed:  c.core.Healed,
+	if c.Coord != nil {
+		c.mixRng = sim.NewRand(seed).Fork("mix")
+	}
+	c.Faults = &Faults{
+		Sys:     c.Sys,
+		Recover: c.Recover,
+		Healed:  c.Healed,
 		OnEvent: func(ev PlanEvent) {
-			if c.onPlanEvent != nil {
-				c.onPlanEvent(ev)
+			if c.OnPlanEvent != nil {
+				c.OnPlanEvent(ev)
 			}
 		},
 	}
-	c.faults.Install(cfg.Plan)
+	c.Faults.Install(cfg.Plan)
 	return c
 }
 
-// setupLoad installs the replication's Poisson workload — one source per
-// live sender, exactly as workload.Spread always did — and the Loads
-// installer that Config.Load (and, through it, every load event) acts on.
-// Scenarios call it from Setup; fire receives each arriving broadcast's
-// sender. With a nil Config.Load the installer schedules nothing and the
-// sources run at their constant spread rate, bit-identical to the
-// pre-LoadPlan behaviour.
-func (c *cluster) setupLoad(cfg Config, rep int, fire func(sender int)) {
-	rng := sim.NewRand(repSeed(cfg.Seed, rep)).Fork("load")
-	c.loads = NewSpreadLoads(c.eng, rng, cfg.Throughput, cfg.N, liveSenders(cfg), fire)
-	c.loads.OnEvent = func(ev LoadEvent) {
-		if c.onLoadEvent != nil {
-			c.onLoadEvent(ev)
+// StartLoad installs the Poisson workload — one source per process alive
+// at start (Core.Members) at rate Cfg.Throughput/N, possibly zero —
+// on the seed's "load" stream, and the Loads installer that Cfg.Load
+// (and, through it, every load event) acts on. fire receives each
+// arrival's sender. Processes crashed by plan events keep their source;
+// Submit drops its firings while they are down.
+func (c *Cluster) StartLoad(fire func(sender int)) {
+	senders := make([]int, len(c.Members))
+	for i, p := range c.Members {
+		senders[i] = int(p)
+	}
+	c.Loads = NewSpreadLoads(c.Eng, sim.NewRand(c.seed).Fork("load"), c.Cfg.Throughput, c.Cfg.N, senders, fire)
+	c.Loads.OnEvent = func(ev LoadEvent) {
+		if c.OnLoadEvent != nil {
+			c.OnLoadEvent(ev)
 		}
 	}
-	if cfg.Groups != nil {
-		c.loads.OnShardMix = func(fraction float64) { c.crossFrac = fraction }
+	if c.Coord != nil {
+		c.Loads.OnShardMix = func(fraction float64) { c.crossFrac = fraction }
 	}
-	c.loads.Install(cfg.Load)
+	c.Loads.Install(c.Cfg.Load)
 }
 
-// liveSenders returns the processes that generate load: everyone not
-// crashed before the run starts. Processes crashed by plan events keep
-// their Poisson source, but broadcast() drops its firings while crashed.
-func liveSenders(cfg Config) []int {
-	crashed := make(map[proto.PID]bool)
-	for _, p := range cfg.preCrashOrder() {
-		crashed[p] = true
+// Submit issues one workload message from sender — an A-broadcast, or in
+// groups mode an A-multicast to the sender's home group plus, with
+// probability crossFrac, one uniformly drawn other group — and maintains
+// the backlog accounting. A crashed sender generates no load: the zero
+// MsgID is returned and nothing is counted (a message ID's Seq is always
+// >= 1, so the zero ID is unambiguous).
+func (c *Cluster) Submit(sender int, body any) proto.MsgID {
+	if c.Sys.Proc(proto.PID(sender)).Crashed() {
+		return proto.MsgID{}
 	}
-	var out []int
-	for p := 0; p < cfg.N; p++ {
-		if !crashed[proto.PID(p)] {
-			out = append(out, p)
+	var dests []int
+	if c.Coord != nil {
+		m := c.Coord.Map()
+		dests = c.mixedDests(m, sender)
+		for _, g := range dests {
+			if m.Contains(g, 0) {
+				c.broadcasts++
+				break
+			}
+		}
+	} else {
+		c.broadcasts++
+	}
+	id := c.send(sender, dests, body)
+	if c.OnBroadcast != nil {
+		c.OnBroadcast(proto.PID(sender), id)
+	}
+	return id
+}
+
+// mixedDests draws a workload message's destination groups: the home
+// group of sender, plus one uniformly drawn other group with probability
+// crossFrac, ascending.
+func (c *Cluster) mixedDests(m *groups.GroupMap, sender int) []int {
+	home := m.Home(proto.PID(sender))
+	dests := c.mixDests[:1]
+	dests[0] = home
+	if c.crossFrac > 0 && m.NumGroups() > 1 && c.mixRng.Float64() < c.crossFrac {
+		other := c.mixRng.Intn(m.NumGroups() - 1)
+		if other >= home {
+			other++
+		}
+		if other < home {
+			dests = append(dests[:0], other, home)
+		} else {
+			dests = append(dests, other)
 		}
 	}
-	return out
+	return dests
 }
+
+// Broadcast A-broadcasts body from p (in groups mode: to p's home group)
+// and returns the message ID. Unlike Submit it neither checks for a
+// crash nor counts toward the backlog: it is the explicit primitive of
+// scripted sessions.
+func (c *Cluster) Broadcast(p int, body any) proto.MsgID { return c.send(p, nil, body) }
+
+// Multicast A-multicasts body from p to the destination groups, given
+// in any order (groups mode only), and returns the message ID. Like
+// Broadcast it is an explicit primitive, outside the backlog accounting.
+func (c *Cluster) Multicast(p int, dests []int, body any) proto.MsgID {
+	if c.Coord == nil {
+		panic(errors.New("experiment: Multicast needs a multi-group Groups map"))
+	}
+	ds := append([]int(nil), dests...)
+	sort.Ints(ds)
+	return c.send(p, ds, body)
+}
+
+// send issues one A-broadcast (nil dests) or A-multicast from p and
+// counts it in SentBy, the ID-sequence base a recovered GM incarnation
+// continues from.
+func (c *Cluster) send(p int, dests []int, body any) proto.MsgID {
+	c.SentBy[p]++
+	if dests == nil {
+		return c.Bcast[p](body)
+	}
+	return c.Mcast(proto.PID(p), dests, body)
+}
+
+// backlog returns the number of broadcasts not yet delivered at p0.
+func (c *Cluster) backlog() int { return c.broadcasts - c.deliveredAt0 }
 
 // repSeed derives the seed of one replication.
 func repSeed(base uint64, rep int) uint64 {
@@ -566,10 +580,10 @@ type TransientConfig struct {
 	Sender proto.PID
 }
 
-// validate checks the embedded Config and the crash/sender pair: both
+// Validate checks the embedded Config and the crash/sender pair: both
 // must name processes of the system, and they must differ.
-func (c TransientConfig) validate() error {
-	if err := c.Config.validate(); err != nil {
+func (c TransientConfig) Validate() error {
+	if err := c.Config.Validate(); err != nil {
 		return err
 	}
 	switch {

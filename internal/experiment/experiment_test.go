@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -254,33 +256,37 @@ func TestNonUniformFasterThanUniform(t *testing.T) {
 	}
 }
 
+// TestValidation checks that invalid configurations panic with the
+// validation error, not with a runtime error from deeper in the run.
 func TestValidation(t *testing.T) {
-	cases := map[string]Config{
-		"unknown algorithm": {N: 3},
-		"zero N":            {Algorithm: FD},
-		"too many crashes":  {Algorithm: FD, N: 3, Crashed: []proto.PID{1, 2}},
-	}
-	for name, cfg := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			RunSteady(fast(cfg))
-		}()
-	}
-	func() {
+	mustReject := func(name string, run func()) {
+		t.Helper()
 		defer func() {
-			if recover() == nil {
-				t.Error("crash == sender did not panic")
+			r := recover()
+			if _, isRuntime := r.(runtime.Error); isRuntime {
+				t.Errorf("%s panicked with a runtime error: %v", name, r)
+			} else if err, ok := r.(error); !ok || !strings.HasPrefix(err.Error(), "experiment:") {
+				t.Errorf("%s panicked with %v, want an experiment: error", name, r)
 			}
 		}()
+		run()
+	}
+	cases := map[string]Config{
+		"unknown algorithm":        {N: 3},
+		"zero N":                   {Algorithm: FD},
+		"too many crashes":         {Algorithm: FD, N: 3, Crashed: []proto.PID{1, 2}},
+		"pre-crashed out of range": {Algorithm: FD, N: 3, Crashed: []proto.PID{5}},
+		"negative pre-crashed":     {Algorithm: FD, N: 3, Crashed: []proto.PID{-1}},
+	}
+	for name, cfg := range cases {
+		mustReject(name, func() { RunSteady(fast(cfg)) })
+	}
+	mustReject("crash == sender", func() {
 		RunTransient(TransientConfig{
 			Config: fast(Config{Algorithm: FD, N: 3}),
 			Crash:  1, Sender: 1,
 		})
-	}()
+	})
 }
 
 func TestReproducibility(t *testing.T) {

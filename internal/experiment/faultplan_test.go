@@ -393,19 +393,19 @@ func TestPlanValidation(t *testing.T) {
 	for name, plan := range bad {
 		cfg := planBase(FD)
 		cfg.Plan = plan
-		if err := cfg.withDefaults().validate(); err == nil {
+		if err := cfg.withDefaults().Validate(); err == nil {
 			t.Errorf("%s: validate accepted %v", name, plan.Events)
 		}
 	}
 	good := planBase(FD)
 	good.Plan = partitionHealPlan()
-	if err := good.withDefaults().validate(); err != nil {
+	if err := good.withDefaults().Validate(); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
 	}
 	// PreCrash events count against the f < n/2 bound like Crashed does.
 	over := planBase(FD)
 	over.Plan = NewFaultPlan().PreCrash(1).PreCrash(2).PreCrash(3)
-	if err := over.withDefaults().validate(); err == nil {
+	if err := over.withDefaults().Validate(); err == nil {
 		t.Error("three pre-crashes of five accepted; want f < n/2 rejection")
 	}
 }

@@ -360,19 +360,19 @@ func TestGroupsConfigValidation(t *testing.T) {
 	for i, mod := range cases {
 		cfg := base
 		mod(&cfg)
-		if err := cfg.withDefaults().validate(); err == nil {
+		if err := cfg.withDefaults().Validate(); err == nil {
 			t.Fatalf("case %d accepted", i)
 		}
 	}
 	good := base
 	good.CrossShard = 0.5
-	if err := good.withDefaults().validate(); err != nil {
+	if err := good.withDefaults().Validate(); err != nil {
 		t.Fatalf("valid groups config rejected: %v", err)
 	}
 	fdRec := base
 	fdRec.Algorithm = FD
 	fdRec.Plan = NewFaultPlan().Crash(time.Second, 5).Recover(2*time.Second, 5)
-	if err := fdRec.withDefaults().validate(); err != nil {
+	if err := fdRec.withDefaults().Validate(); err != nil {
 		t.Fatalf("FD groups recovery rejected: %v", err)
 	}
 }

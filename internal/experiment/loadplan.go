@@ -348,9 +348,9 @@ type Loads struct {
 
 // NewSpreadLoads starts the paper's spread workload — one Poisson source
 // per listed sender at rate total/nominal, exactly workload.Spread — and
-// returns its Loads installer. It is the shared workload construction of
-// the experiment scenarios and the interactive Cluster: one place owns
-// the sender→source mapping that load events act on.
+// returns its Loads installer. Cluster.StartLoad builds every workload
+// through it, so one place owns the sender→source mapping that load
+// events act on.
 func NewSpreadLoads(eng *sim.Engine, rng *sim.Rand, total float64, nominal int, senders []int, fire func(sender int)) *Loads {
 	sources := workload.Spread(eng, rng, total, nominal, senders, fire)
 	byPID := make([]*workload.Poisson, nominal)

@@ -275,13 +275,13 @@ func TestLoadValidation(t *testing.T) {
 	for name, plan := range bad {
 		cfg := planBase(FD)
 		cfg.Load = plan
-		if err := cfg.withDefaults().validate(); err == nil {
+		if err := cfg.withDefaults().Validate(); err == nil {
 			t.Errorf("%s: validate accepted %v", name, plan.Events)
 		}
 	}
 	good := planBase(FD)
 	good.Load = overloadPlan()
-	if err := good.withDefaults().validate(); err != nil {
+	if err := good.withDefaults().Validate(); err != nil {
 		t.Errorf("valid load plan rejected: %v", err)
 	}
 }

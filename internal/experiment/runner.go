@@ -105,7 +105,7 @@ func (r *Runner) SteadyAll(cfgs []Config) []Result {
 	reps := make([][]RepStats, len(cfgs))
 	for i, cfg := range cfgs {
 		cfg = cfg.withDefaults()
-		if err := cfg.validate(); err != nil {
+		if err := cfg.Validate(); err != nil {
 			panic(err)
 		}
 		pts[i] = cfg
@@ -113,7 +113,7 @@ func (r *Runner) SteadyAll(cfgs []Config) []Result {
 		reps[i] = make([]RepStats, cfg.Replications)
 	}
 	r.runGrid(counts, func(point, rep int) {
-		reps[point][rep] = runReplication(pts[point], point, rep, newSteadyScenario(pts[point], rep))
+		reps[point][rep] = runReplication(pts[point], point, rep, newSteadyScenario(pts[point]))
 	})
 	out := make([]Result, len(pts))
 	for i := range pts {
@@ -135,7 +135,7 @@ func (r *Runner) TransientAll(cfgs []TransientConfig) []TransientResult {
 	reps := make([][]RepStats, len(cfgs))
 	for i, cfg := range cfgs {
 		cfg.Config = cfg.Config.withDefaults()
-		if err := cfg.validate(); err != nil {
+		if err := cfg.Validate(); err != nil {
 			panic(err)
 		}
 		pts[i] = cfg
@@ -145,7 +145,7 @@ func (r *Runner) TransientAll(cfgs []TransientConfig) []TransientResult {
 	r.runGrid(counts, func(point, rep int) {
 		cfg := pts[point].Config
 		cfg.transient = &transientInfo{crash: pts[point].Crash, sender: pts[point].Sender}
-		reps[point][rep] = runReplication(cfg, point, rep, CrashTransient(pts[point], rep))
+		reps[point][rep] = runReplication(cfg, point, rep, CrashTransient(pts[point]))
 	})
 	out := make([]TransientResult, len(pts))
 	for i := range pts {

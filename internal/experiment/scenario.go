@@ -63,7 +63,7 @@ type Scenario interface {
 	Phases() phases
 	// Setup installs the replication's workload and scheduled faults on a
 	// freshly built cluster, before any virtual time elapses.
-	Setup(c *cluster)
+	Setup(c *Cluster)
 	// Observer delivers every A-delivery at every process to the
 	// scenario, ahead of the configured observers.
 	Observer
@@ -82,7 +82,7 @@ type Scenario interface {
 // keyed by (cfg.Seed, rep), so replications can run on any goroutine in
 // any order; point and rep only name the replication to its observers.
 func runReplication(cfg Config, point, rep int, s Scenario) RepStats {
-	c := newCluster(cfg, repSeed(cfg.Seed, rep))
+	c := NewCluster(cfg, repSeed(cfg.Seed, rep), nil)
 
 	var observers []Observer
 	var bcastObservers []BroadcastObserver
@@ -109,39 +109,39 @@ func runReplication(cfg Config, point, rep int, s Scenario) RepStats {
 		}
 	}
 
-	c.onDeliver = func(p proto.PID, id proto.MsgID) {
-		d := Delivery{Process: p, ID: id, At: c.eng.Now()}
+	c.OnDeliver = func(p proto.PID, id proto.MsgID, _ any) {
+		d := Delivery{Process: p, ID: id, At: c.Eng.Now()}
 		s.ObserveDelivery(d)
 		for _, o := range observers {
 			o.ObserveDelivery(d)
 		}
 	}
 	if len(bcastObservers) > 0 {
-		c.onBroadcast = func(sender proto.PID, id proto.MsgID) {
-			b := Broadcast{Sender: sender, ID: id, At: c.eng.Now()}
+		c.OnBroadcast = func(sender proto.PID, id proto.MsgID) {
+			b := Broadcast{Sender: sender, ID: id, At: c.Eng.Now()}
 			for _, o := range bcastObservers {
 				o.ObserveBroadcast(b)
 			}
 		}
 	}
 	if len(netObservers) > 0 {
-		c.sys.Net.SetTrace(func(ev netmodel.TraceEvent) {
+		c.Sys.Net.SetTrace(func(ev netmodel.TraceEvent) {
 			for _, o := range netObservers {
 				o.ObserveNet(ev)
 			}
 		})
 	}
 	if len(planObservers) > 0 {
-		c.onPlanEvent = func(ev PlanEvent) {
-			at := c.eng.Now()
+		c.OnPlanEvent = func(ev PlanEvent) {
+			at := c.Eng.Now()
 			for _, o := range planObservers {
 				o.ObservePlan(at, ev)
 			}
 		}
 	}
 	if len(loadObservers) > 0 {
-		c.onLoadEvent = func(ev LoadEvent) {
-			at := c.eng.Now()
+		c.OnLoadEvent = func(ev LoadEvent) {
+			at := c.Eng.Now()
 			for _, o := range loadObservers {
 				o.ObserveLoad(at, ev)
 			}
@@ -156,30 +156,30 @@ func runReplication(cfg Config, point, rep int, s Scenario) RepStats {
 	// quadratic agony.
 	diverged := false
 	if ph.divergence {
-		for c.eng.Now() < ph.measureEnd {
-			step := c.eng.Now().Add(ph.measureSlice)
+		for c.Eng.Now() < ph.measureEnd {
+			step := c.Eng.Now().Add(ph.measureSlice)
 			if step > ph.measureEnd {
 				step = ph.measureEnd
 			}
-			c.eng.RunUntil(step)
+			c.Eng.RunUntil(step)
 			if c.backlog() > DivergenceBacklog {
 				diverged = true
 				break
 			}
 		}
 	} else {
-		c.eng.RunUntil(ph.measureEnd)
+		c.Eng.RunUntil(ph.measureEnd)
 	}
 
 	// Drain phase, in slices so the run can stop early once every awaited
 	// delivery landed.
 	deadline := ph.measureEnd.Add(ph.drain)
-	for !diverged && c.eng.Now() < deadline && !s.Done() {
-		step := c.eng.Now().Add(ph.drainSlice)
+	for !diverged && c.Eng.Now() < deadline && !s.Done() {
+		step := c.Eng.Now().Add(ph.drainSlice)
 		if step > deadline {
 			step = deadline
 		}
-		c.eng.RunUntil(step)
+		c.Eng.RunUntil(step)
 		if ph.divergence && c.backlog() > DivergenceBacklog {
 			diverged = true
 		}
@@ -192,11 +192,10 @@ func runReplication(cfg Config, point, rep int, s Scenario) RepStats {
 
 // steadyScenario measures every message A-broadcast inside the measure
 // window. It covers normal-steady, crash-steady and suspicion-steady,
-// which differ only in Config (Crashed and QoS); the named constructors
-// below document that correspondence.
+// which differ only in Config (Crashed and QoS; see the package
+// comment).
 type steadyScenario struct {
 	cfg        Config
-	rep        int
 	start, end sim.Time
 	sent       map[proto.MsgID]sim.Time
 	first      map[proto.MsgID]sim.Time
@@ -204,28 +203,16 @@ type steadyScenario struct {
 
 // newSteadyScenario builds the scenario for one replication of a steady
 // experiment; cfg must already have defaults applied.
-func newSteadyScenario(cfg Config, rep int) *steadyScenario {
+func newSteadyScenario(cfg Config) *steadyScenario {
 	start := sim.Time(0).Add(cfg.Warmup)
 	return &steadyScenario{
 		cfg:   cfg,
-		rep:   rep,
 		start: start,
 		end:   start.Add(cfg.Measure),
 		sent:  make(map[proto.MsgID]sim.Time),
 		first: make(map[proto.MsgID]sim.Time),
 	}
 }
-
-// NormalSteady is the no-crash, no-suspicion scenario (Fig. 4).
-func NormalSteady(cfg Config, rep int) Scenario { return newSteadyScenario(cfg, rep) }
-
-// CrashSteady is the scenario with processes crashed long before the
-// measurement (Fig. 5); cfg.Crashed selects them.
-func CrashSteady(cfg Config, rep int) Scenario { return newSteadyScenario(cfg, rep) }
-
-// SuspicionSteady is the scenario with wrong suspicions at QoS (TMR, TM)
-// but no crashes (Figs. 6, 7); cfg.QoS selects the mistake rate.
-func SuspicionSteady(cfg Config, rep int) Scenario { return newSteadyScenario(cfg, rep) }
 
 func (s *steadyScenario) Phases() phases {
 	return phases{
@@ -237,13 +224,13 @@ func (s *steadyScenario) Phases() phases {
 	}
 }
 
-func (s *steadyScenario) Setup(c *cluster) {
-	c.setupLoad(s.cfg, s.rep, func(sender int) {
-		id := c.broadcast(sender, nil)
+func (s *steadyScenario) Setup(c *Cluster) {
+	c.StartLoad(func(sender int) {
+		id := c.Submit(sender, nil)
 		if id.Seq == 0 {
 			return // crashed sender (plan-driven): no load generated
 		}
-		now := c.eng.Now()
+		now := c.Eng.Now()
 		if now >= s.start && now < s.end {
 			s.sent[id] = now
 		}
@@ -285,7 +272,6 @@ func (s *steadyScenario) Collect() RepStats {
 // instant of a forced crash (Fig. 8): CrashTransient below.
 type transientScenario struct {
 	cfg                       TransientConfig
-	rep                       int
 	crashAt                   sim.Time
 	probe                     proto.MsgID
 	probeSent, probeDelivered sim.Time
@@ -294,8 +280,8 @@ type transientScenario struct {
 
 // CrashTransient builds the crash-transient scenario for one replication;
 // cfg must already have defaults applied.
-func CrashTransient(cfg TransientConfig, rep int) Scenario {
-	return &transientScenario{cfg: cfg, rep: rep, crashAt: sim.Time(0).Add(cfg.Warmup)}
+func CrashTransient(cfg TransientConfig) Scenario {
+	return &transientScenario{cfg: cfg, crashAt: sim.Time(0).Add(cfg.Warmup)}
 }
 
 func (t *transientScenario) Phases() phases {
@@ -306,16 +292,14 @@ func (t *transientScenario) Phases() phases {
 	}
 }
 
-func (t *transientScenario) Setup(c *cluster) {
-	c.setupLoad(t.cfg.Config, t.rep, func(sender int) {
-		c.broadcast(sender, nil)
-	})
+func (t *transientScenario) Setup(c *Cluster) {
+	c.StartLoad(func(sender int) { c.Submit(sender, nil) })
 	// The scripted crash is a plan event fired through the shared fault
 	// machinery, in the same instant and before the probe broadcast.
-	c.eng.Schedule(t.crashAt, func() {
-		c.faults.Fire(Crash{At: t.crashAt.Duration(), P: t.cfg.Crash})
-		t.probe = c.broadcast(int(t.cfg.Sender), "probe")
-		t.probeSent = c.eng.Now()
+	c.Eng.Schedule(t.crashAt, func() {
+		c.Faults.Fire(Crash{At: t.crashAt.Duration(), P: t.cfg.Crash})
+		t.probe = c.Submit(int(t.cfg.Sender), "probe")
+		t.probeSent = c.Eng.Now()
 	})
 }
 

@@ -630,7 +630,7 @@ func replayOne(h traceHeader) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return 0, fmt.Errorf("experiment: trace header invalid: %w", err)
 	}
 	rec := &traceRep{}
@@ -639,13 +639,13 @@ func replayOne(h traceHeader) (uint64, error) {
 	}
 	switch h.Kind {
 	case "steady":
-		runReplication(cfg, h.Point, h.Rep, newSteadyScenario(cfg, h.Rep))
+		runReplication(cfg, h.Point, h.Rep, newSteadyScenario(cfg))
 	case "transient":
 		tc := TransientConfig{Config: cfg, Crash: proto.PID(h.Crash), Sender: proto.PID(h.Sender)}
-		if err := tc.validate(); err != nil {
+		if err := tc.Validate(); err != nil {
 			return 0, fmt.Errorf("experiment: trace header invalid: %w", err)
 		}
-		runReplication(cfg, h.Point, h.Rep, CrashTransient(tc, h.Rep))
+		runReplication(cfg, h.Point, h.Rep, CrashTransient(tc))
 	default:
 		return 0, fmt.Errorf("experiment: unknown trace kind %q", h.Kind)
 	}

@@ -193,7 +193,8 @@ func TestReplayDetectsTampering(t *testing.T) {
 }
 
 // TestReplayRejectsTruncatedTrace checks the error paths: a trace cut
-// mid-replication and an orphan digest record both fail loudly.
+// mid-replication, an orphan digest record and headers with out-of-range
+// processes all fail loudly, with an error rather than a panic.
 func TestReplayRejectsTruncatedTrace(t *testing.T) {
 	if _, err := Replay(strings.NewReader(`C {"kind":"steady","alg":1,"n":3,"throughput":10,"seed":1,"warmup":1,"measure":1,"drain":1,"replications":1}` + "\n")); err == nil {
 		t.Fatal("truncated trace did not error")
@@ -217,6 +218,14 @@ func TestReplayRejectsTruncatedTrace(t *testing.T) {
 	} {
 		if _, err := Replay(strings.NewReader(fmt.Sprintf(transient, pair))); err == nil {
 			t.Fatalf("transient header with %s did not error", pair)
+		}
+	}
+	// Steady headers naming an out-of-range pre-crashed process must fail
+	// validation instead of indexing past the system.
+	const steady = `C {"kind":"steady","alg":1,"n":3,"throughput":10,"seed":1,"warmup":1,"measure":1,"drain":1,"replications":1,%s}` + "\nE 0000000000000000\n"
+	for _, crashed := range []string{`"crashed":[9]`, `"crashed":[-1]`} {
+		if _, err := Replay(strings.NewReader(fmt.Sprintf(steady, crashed))); err == nil {
+			t.Fatalf("steady header with %s did not error", crashed)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -129,13 +131,57 @@ func TestClusterPreCrashed(t *testing.T) {
 	}
 }
 
+// TestClusterValidation checks every rejection branch of the facade:
+// each must panic at the call with a validation error, never with a
+// runtime error from inside the simulation.
 func TestClusterValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("N=0 did not panic")
-		}
-	}()
-	NewCluster(ClusterConfig{N: 0})
+	cluster := func(cfg ClusterConfig) func() {
+		return func() { NewCluster(cfg) }
+	}
+	twoGroups := Disjoint(6, 2)
+	cases := []struct {
+		name string
+		run  func()
+	}{
+		{"zero N", cluster(ClusterConfig{N: 0})},
+		{"pre-crashed out of range", cluster(ClusterConfig{N: 3, PreCrashed: []int{5}})},
+		{"negative pre-crashed", cluster(ClusterConfig{N: 3, PreCrashed: []int{-1}})},
+		{"pre-crashed majority", cluster(ClusterConfig{N: 3, PreCrashed: []int{1, 2}})},
+		{"unknown algorithm", cluster(ClusterConfig{Algorithm: Algorithm(9), N: 3})},
+		{"cross-shard without groups", cluster(ClusterConfig{N: 3, CrossShard: 0.5})},
+		{"shardmix without groups", cluster(ClusterConfig{N: 3, Load: NewLoadPlan().Mix(time.Second, 0.5)})},
+		{"GM recover in groups mode", cluster(ClusterConfig{
+			Algorithm: GM, N: 6, Groups: twoGroups,
+			Plan: NewFaultPlan().Crash(time.Second, 1).Recover(2*time.Second, 1),
+		})},
+		{"BroadcastAt out of range", func() {
+			NewCluster(ClusterConfig{N: 3}).BroadcastAt(3, time.Millisecond, nil)
+		}},
+		{"BroadcastAt negative", func() {
+			NewCluster(ClusterConfig{N: 3}).BroadcastAt(-1, time.Millisecond, nil)
+		}},
+		{"MulticastAt out of range", func() {
+			NewCluster(ClusterConfig{N: 6, Groups: twoGroups}).MulticastAt(6, time.Millisecond, []int{0}, nil)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if _, isRuntime := r.(runtime.Error); isRuntime {
+					t.Fatalf("panicked with a runtime error: %v", r)
+				}
+				err, ok := r.(error)
+				if !ok {
+					t.Fatalf("panicked with %v, want an error", r)
+				}
+				if msg := err.Error(); !strings.HasPrefix(msg, "repro:") && !strings.HasPrefix(msg, "experiment:") {
+					t.Fatalf("error %q lacks the repro:/experiment: prefix", msg)
+				}
+			}()
+			tc.run()
+		})
+	}
 }
 
 func TestHelpers(t *testing.T) {
