@@ -21,23 +21,30 @@ import (
 func figGroups() {
 	const perGroup = 3
 	const perGroupRate = 300.0
-	ks := []int{1, 2, 4, 8}
-	measure := 5 * time.Second
-	reps := 3
-	if *quickFlag {
-		ks = []int{1, 2, 4}
-		measure = 2 * time.Second
-		reps = 2
-	}
-	if *repsFlag > 0 {
-		reps = *repsFlag
-	}
-	geo := func(k int) *repro.Topology {
-		return repro.Geo(repro.GeoConfig{
+	ks := pick([]int{1, 2, 4, 8}, []int{1, 2, 4})
+	measure := pick(5*time.Second, 2*time.Second)
+	nreps := reps(3, 2)
+	// sharded is k groups of perGroup processes, one Geo site each, offered
+	// rate messages/s in total with a cross fraction of cross-shard traffic.
+	sharded := func(k int, rate, cross float64) repro.Config {
+		t := repro.Geo(repro.GeoConfig{
 			Sites:   k,
 			PerSite: perGroup,
 			WAN:     repro.Wire{Delay: 5 * time.Millisecond},
 		})
+		return repro.Config{
+			Algorithm:    repro.FD,
+			N:            k * perGroup,
+			Throughput:   rate,
+			Topology:     t,
+			Groups:       repro.GroupsFromSites(t),
+			CrossShard:   cross,
+			Seed:         *seedFlag,
+			Warmup:       time.Second,
+			Measure:      measure,
+			Drain:        20 * time.Second,
+			Replications: nreps,
+		}
 	}
 
 	fmt.Println("# Figure G1: aggregate throughput vs group count, shard-local traffic,")
@@ -46,23 +53,11 @@ func figGroups() {
 	fmt.Println("# groups\tn\toffered(1/s)\tdelivered(1/s)\tspeedup\tmean(ms)\tP99\tundelivered")
 	var cfgs []repro.Config
 	for _, k := range ks {
-		t := geo(k)
-		cfgs = append(cfgs, repro.Config{
-			Algorithm:    repro.FD,
-			N:            k * perGroup,
-			Throughput:   float64(k) * perGroupRate,
-			Topology:     t,
-			Groups:       repro.GroupsFromSites(t),
-			Seed:         *seedFlag,
-			Warmup:       time.Second,
-			Measure:      measure,
-			Drain:        20 * time.Second,
-			Replications: reps,
-		})
+		cfgs = append(cfgs, sharded(k, float64(k)*perGroupRate, 0))
 	}
 	res := runner.SteadyAll(cfgs)
 	rate := func(r repro.Result) float64 {
-		return float64(r.Messages) / (measure.Seconds() * float64(reps))
+		return float64(r.Messages) / (measure.Seconds() * float64(nreps))
 	}
 	base := rate(res[0])
 	for i, k := range ks {
@@ -75,32 +70,16 @@ func figGroups() {
 
 	const k2 = 4
 	const perGroupRate2 = 100.0
-	fractions := []float64{0, 0.05, 0.1, 0.15, 0.2}
-	if *quickFlag {
-		fractions = []float64{0, 0.1, 0.2}
-	}
+	fractions := pick([]float64{0, 0.05, 0.1, 0.15, 0.2}, []float64{0, 0.1, 0.2})
 	fmt.Printf("# Figure G2: graceful degradation vs cross-shard fraction, %d groups of %d,\n", k2, perGroup)
 	fmt.Printf("# offered %.0f/s per group; cross-shard messages add one random extra\n", perGroupRate2)
 	fmt.Println("# destination group: WAN dissemination plus the cross-group timestamp merge.")
 	fmt.Println("# Past ~0.25 at this rate the proposal traffic saturates the LAN wires and")
 	fmt.Println("# the merge pipeline backs up — the cross-shard capacity ceiling.")
 	fmt.Println("# cross-shard\tdelivered(1/s)\tmean(ms)\tP50\tP90\tP99\tundelivered")
-	t2 := geo(k2)
 	var cfgs2 []repro.Config
 	for _, f := range fractions {
-		cfgs2 = append(cfgs2, repro.Config{
-			Algorithm:    repro.FD,
-			N:            k2 * perGroup,
-			Throughput:   k2 * perGroupRate2,
-			Topology:     t2,
-			Groups:       repro.GroupsFromSites(t2),
-			CrossShard:   f,
-			Seed:         *seedFlag,
-			Warmup:       time.Second,
-			Measure:      measure,
-			Drain:        20 * time.Second,
-			Replications: reps,
-		})
+		cfgs2 = append(cfgs2, sharded(k2, k2*perGroupRate2, f))
 	}
 	res2 := runner.SteadyAll(cfgs2)
 	for i, f := range fractions {

@@ -18,14 +18,7 @@ import (
 // dissemination topology: the agreement protocol, workload and seed are
 // identical across a row.
 func figNScale() {
-	ns := []int{64, 256, 512}
-	if *quickFlag {
-		ns = []int{16, 64, 256}
-	}
-	reps := 2
-	if *repsFlag > 0 {
-		reps = *repsFlag
-	}
+	ns := pick([]int{64, 256, 512}, []int{16, 64, 256})
 	shapes := []struct {
 		name  string
 		build func(n int) *repro.Topology
@@ -57,7 +50,7 @@ func figNScale() {
 				Warmup:       time.Second,
 				Measure:      5 * time.Second,
 				Drain:        60 * time.Second,
-				Replications: reps,
+				Replications: reps(2, 2),
 			})
 		}
 	}
@@ -65,7 +58,7 @@ func figNScale() {
 	for i, r := range res {
 		fmt.Printf("%d\t%s\t%s\t%s\t%d\t%d\n",
 			r.Config.N, shapes[i%len(shapes)].name,
-			cellAny(r), qcell(r.Quantiles, r.Quantiles.N > 0),
+			cellAny(r.Latency), qcell(r.Quantiles, r.Quantiles.N > 0),
 			r.Messages, r.Undelivered)
 		if i%len(shapes) == len(shapes)-1 {
 			// Blank line between size blocks for gnuplot indexing.
