@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/netmodel"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // benchSteady runs one steady-state point per iteration and reports the
@@ -301,11 +302,9 @@ func BenchmarkMultiGroupThroughput(b *testing.B) {
 }
 
 // BenchmarkCollectorModes measures the distribution carrier the
-// experiments aggregate into: exact mode retains every observation,
-// sketch mode (Config.DistSketch) folds them into bounded log buckets.
+// experiments aggregate into, a collector retaining every observation.
 // One op adds 1000 heavy-tailed observations to a fresh collector and
-// reads its quantiles; bytes/op is the number that motivates sketch
-// mode for multi-million-message points.
+// reads its quantiles.
 func BenchmarkCollectorModes(b *testing.B) {
 	obs := make([]float64, 1000)
 	x := uint64(99)
@@ -313,11 +312,10 @@ func BenchmarkCollectorModes(b *testing.B) {
 		x = x*6364136223846793005 + 1442695040888963407
 		obs[i] = 0.1 * math.Pow(10, 4*float64(x>>11)/float64(1<<53))
 	}
-	run := func(b *testing.B, mk func() Collector) {
+	b.Run("exact", func(b *testing.B) {
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c := mk()
+			var c stats.Collector
 			for _, v := range obs {
 				c.Add(v)
 			}
@@ -325,9 +323,7 @@ func BenchmarkCollectorModes(b *testing.B) {
 				b.Fatalf("collected %d observations, want %d", q.N, len(obs))
 			}
 		}
-	}
-	b.Run("exact", func(b *testing.B) { run(b, func() Collector { return Collector{} }) })
-	b.Run("sketch/alpha=0.01", func(b *testing.B) { run(b, func() Collector { return NewSketchCollector(0.01) }) })
+	})
 }
 
 // BenchmarkSimEngine measures the discrete-event kernel's closure form

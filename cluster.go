@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -76,20 +75,16 @@ type ClusterConfig struct {
 	// Plan is a fault- and environment-injection timeline installed at
 	// construction: crashes and recoveries, suspicion bursts, partitions
 	// and heals, link faults. The interactive fault methods (CrashAt,
-	// SuspectAt, RecoverAt, PartitionAt, HealAt, SetLinkAt) schedule the
-	// same events through the same machinery, so a scripted session and a
-	// planned one are interchangeable.
+	// SuspectAt) schedule the same events through the same machinery.
 	Plan *FaultPlan
 	// Throughput, when positive, runs the paper's Poisson workload on the
 	// cluster: every non-pre-crashed process A-broadcasts nil bodies at
 	// rate Throughput/N, exactly as experiments do. Zero starts the
-	// sources silent — the load methods (SetRateAt and friends) can still
-	// raise them mid-run.
+	// sources silent — a Load plan's rate change can still raise them
+	// mid-run.
 	Throughput float64
 	// Load is a workload-shaping timeline installed at construction: rate
-	// changes, bursts, per-sender mutes, pauses. The interactive load
-	// methods (SetRateAt, BurstAt, MuteAt, UnmuteAt, PauseAt, ResumeAt)
-	// schedule the same events through the same machinery.
+	// changes, bursts, per-sender mutes, pauses, cross-shard mix changes.
 	Load *LoadPlan
 	// OnDeliver observes every A-delivery at every process.
 	OnDeliver func(d Delivery)
@@ -119,8 +114,8 @@ type ClusterConfig struct {
 	Groups *GroupMap
 	// CrossShard is the fraction of the built-in Poisson workload sent
 	// cross-shard (home group plus one uniformly random other group);
-	// the rest stays shard-local. Groups mode only; ShardMixAt (or a
-	// ShardMix load event) changes it mid-run.
+	// the rest stays shard-local. Groups mode only; a Load plan's Mix
+	// event changes it mid-run.
 	CrossShard float64
 }
 
@@ -140,16 +135,15 @@ type HeartbeatConfig = experiment.Heartbeat
 //
 // Faults — crashes, recoveries, wrong suspicions, partitions and heals,
 // link loss and delay — are FaultPlan events: give a full timeline in
-// ClusterConfig.Plan, or script interactively with the *At methods and
-// Apply, which schedule the same events through the same machinery.
-// Load — the built-in Poisson workload's rate, bursts, mutes and pauses
-// — is LoadPlan events the same way: ClusterConfig.Throughput and Load
-// at construction, SetRateAt/BurstAt/MuteAt/UnmuteAt/PauseAt/ResumeAt
-// and ApplyLoad interactively.
+// ClusterConfig.Plan, or script crashes and suspicions interactively
+// with CrashAt and SuspectAt, which schedule the same events through the
+// same machinery. Load — the built-in Poisson workload's rate, bursts,
+// mutes and pauses — is LoadPlan events: ClusterConfig.Throughput and
+// Load at construction.
 //
-// In groups mode, crash-recovery (RecoverAt, Recover plan events) is
-// supported for the FD algorithm only; NewCluster rejects a GM-algorithm
-// plan containing Recover events at construction.
+// In groups mode, crash-recovery (Recover plan events) is supported for
+// the FD algorithm only; NewCluster rejects a GM-algorithm plan
+// containing Recover events at construction.
 type Cluster struct {
 	x *experiment.Cluster
 }
@@ -254,121 +248,27 @@ func (c *Cluster) MulticastAt(p int, at time.Duration, dests []int, body any) {
 	c.x.Eng.Schedule(sim.Time(at), func() { c.x.Multicast(p, ds, body) })
 }
 
-// Apply schedules one fault-plan event at its instant — the primitive
-// every *At fault method below is sugar for. It panics on an invalid
-// event or one scheduled in the simulation's past.
-func (c *Cluster) Apply(ev PlanEvent) {
-	if _, pre := ev.(PreCrash); pre {
-		panic(errors.New("repro: PreCrash is an initial condition; list it in ClusterConfig"))
-	}
-	if err := (&FaultPlan{Events: []PlanEvent{ev}}).Validate(c.x.Cfg.N); err != nil {
-		panic(err)
-	}
-	c.x.Faults.Schedule(ev)
-}
-
 // CrashAt schedules a crash of process p at virtual time at.
 func (c *Cluster) CrashAt(p int, at time.Duration) {
-	c.Apply(Crash{At: at, P: proto.PID(p)})
-}
-
-// RecoverAt schedules a recovery of crashed process p at virtual time at:
-// GM algorithms rejoin through the membership service with state
-// transfer, the crash-stop FD algorithm resumes from its pre-crash state
-// (see the Recover event).
-func (c *Cluster) RecoverAt(p int, at time.Duration) {
-	c.Apply(Recover{At: at, P: proto.PID(p)})
+	c.schedule(experiment.Crash{At: at, P: proto.PID(p)})
 }
 
 // SuspectAt schedules a wrong suspicion: monitor starts suspecting target
 // at the given instant, for the given duration (0 is an instantaneous
 // mistake whose edges still fire).
 func (c *Cluster) SuspectAt(monitor, target int, at, duration time.Duration) {
-	c.Apply(SuspicionBurst{At: at, P: proto.PID(target), For: duration, By: []ProcessID{proto.PID(monitor)}})
+	c.schedule(experiment.SuspicionBurst{At: at, P: proto.PID(target), For: duration, By: []ProcessID{proto.PID(monitor)}})
 }
 
-// PartitionAt schedules a network partition into the given groups at
-// virtual time at; processes listed in no group are isolated alone.
-func (c *Cluster) PartitionAt(at time.Duration, groups ...[]int) {
-	ev := Partition{At: at, Groups: make([][]proto.PID, len(groups))}
-	for gi, g := range groups {
-		ev.Groups[gi] = make([]proto.PID, len(g))
-		for i, p := range g {
-			ev.Groups[gi][i] = proto.PID(p)
-		}
-	}
-	c.Apply(ev)
-}
-
-// HealAt schedules the removal of the partition in force at virtual time
-// at.
-func (c *Cluster) HealAt(at time.Duration) {
-	c.Apply(Heal{At: at})
-}
-
-// SetLinkAt schedules a fault on the directed link from → to at virtual
-// time at: loss probability per message copy plus extra delay. Zero both
-// to clear the link.
-func (c *Cluster) SetLinkAt(at time.Duration, from, to int, loss float64, extraDelay time.Duration) {
-	c.Apply(LinkFault{At: at, From: proto.PID(from), To: proto.PID(to), Loss: loss, ExtraDelay: extraDelay})
-}
-
-// ApplyLoad schedules one load-plan event at its instant — the primitive
-// every load method below is sugar for. The cluster's Poisson sources
-// exist whatever ClusterConfig.Throughput was (a zero throughput just
-// starts them silent), so load events always have something to act on.
-// It panics on an invalid event or one scheduled in the simulation's
-// past.
-func (c *Cluster) ApplyLoad(ev LoadEvent) {
-	if err := (&LoadPlan{Events: []LoadEvent{ev}}).Validate(c.x.Cfg.N); err != nil {
+// schedule validates one fault-plan event and schedules it at its
+// instant. It panics on an invalid event or one scheduled in the
+// simulation's past.
+func (c *Cluster) schedule(ev PlanEvent) {
+	if err := (&FaultPlan{Events: []PlanEvent{ev}}).Validate(c.x.Cfg.N); err != nil {
 		panic(err)
 	}
-	c.x.Loads.Schedule(ev)
+	c.x.Faults.Schedule(ev)
 }
-
-// SetRateAt schedules a rate change at virtual time at: sender
-// AllSenders (-1) re-spreads rate as a new total throughput (each
-// process sends at rate/N), a concrete sender gets rate as its absolute
-// per-second rate. The gap in flight rescales deterministically, so
-// setting the current rate is a bit-identical no-op.
-func (c *Cluster) SetRateAt(at time.Duration, sender int, rate float64) {
-	c.ApplyLoad(RateChange{At: at, Sender: proto.PID(sender), Rate: rate})
-}
-
-// BurstAt schedules a rate spike: the rate of sender (AllSenders for
-// everyone) is multiplied by factor during [at, at+d).
-func (c *Cluster) BurstAt(at, d time.Duration, sender int, factor float64) {
-	c.ApplyLoad(Burst{At: at, For: d, Sender: proto.PID(sender), Factor: factor})
-}
-
-// MuteAt schedules a mute of sender (AllSenders for everyone) at virtual
-// time at: its source stops firing but keeps its logical rate and frozen
-// gap for UnmuteAt.
-func (c *Cluster) MuteAt(at time.Duration, sender int) {
-	c.ApplyLoad(Mute{At: at, Sender: proto.PID(sender)})
-}
-
-// UnmuteAt schedules the lifting of a mute of sender at virtual time at.
-func (c *Cluster) UnmuteAt(at time.Duration, sender int) {
-	c.ApplyLoad(Unmute{At: at, Sender: proto.PID(sender)})
-}
-
-// ShardMixAt schedules a change of the built-in workload's cross-shard
-// fraction at virtual time at (groups mode only): fraction of messages
-// go cross-shard from then on, the rest stay shard-local.
-func (c *Cluster) ShardMixAt(at time.Duration, fraction float64) {
-	if c.x.Coord == nil {
-		panic(errors.New("repro: ShardMixAt needs a multi-group ClusterConfig.Groups"))
-	}
-	c.ApplyLoad(ShardMix{At: at, Fraction: fraction})
-}
-
-// PauseAt schedules a pause of the whole workload at virtual time at.
-func (c *Cluster) PauseAt(at time.Duration) { c.ApplyLoad(Pause{At: at}) }
-
-// ResumeAt schedules the lifting of a pause at virtual time at; senders
-// muted individually stay muted.
-func (c *Cluster) ResumeAt(at time.Duration) { c.ApplyLoad(Resume{At: at}) }
 
 // Run advances virtual time by d, processing all events on the way.
 func (c *Cluster) Run(d time.Duration) {
@@ -377,9 +277,9 @@ func (c *Cluster) Run(d time.Duration) {
 
 // RunUntilIdle processes events until none remain. A cluster whose
 // Poisson workload is active never idles — it keeps scheduling arrivals
-// forever — so pause or silence the workload (PauseAt, SetRateAt with
-// rate 0) before draining with this method; use Run to advance a live
-// workload by a bounded amount instead.
+// forever — so end the workload with a Pause (or a zero rate) in
+// ClusterConfig.Load before draining with this method; use Run to
+// advance a live workload by a bounded amount instead.
 func (c *Cluster) RunUntilIdle() { c.x.Eng.Run() }
 
 // Crashed reports whether process p has crashed.
@@ -415,11 +315,8 @@ func (c *Cluster) SetTrace(fn func(NetEvent)) {
 	})
 }
 
-// Perfect returns a QoS with instant detection and no mistakes.
-func Perfect() QoS { return QoS{} }
-
 // Detectors returns a QoS with the given metrics in milliseconds, the
 // unit the paper uses throughout.
 func Detectors(tdMs, tmrMs, tmMs float64) QoS {
-	return fd.QoS{TD: Milliseconds(tdMs), TMR: Milliseconds(tmrMs), TM: Milliseconds(tmMs)}
+	return fd.QoS{TD: milliseconds(tdMs), TMR: milliseconds(tmrMs), TM: milliseconds(tmMs)}
 }

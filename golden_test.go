@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/topo"
 )
 
 // The golden digests lock the exact event-by-event behaviour of the
@@ -275,7 +277,7 @@ func goldenScenarios() []goldenScenario {
 			name: "FD/n=6/one-way-ring-crash",
 			cfg: ClusterConfig{
 				Algorithm: FD, N: 6, Seed: 71, QoS: Detectors(10, 0, 0),
-				Topology: OneWayRing(6),
+				Topology: topo.OneWayRing(6),
 				Plan: NewFaultPlan().
 					Link(90*time.Millisecond, 2, 3, 0, 3*time.Millisecond).
 					Link(240*time.Millisecond, 2, 3, 0, 0).

@@ -12,12 +12,12 @@ package ctabcast
 // k, so k strictly above our frontier is evidence of lag. Detection is
 // two-fold:
 //
-//   - Passive: a message at least InstanceWindow ahead of the frontier
+//   - Passive: a message at least instanceWindow ahead of the frontier
 //     means peers have garbage-collected the instances we need; ordinary
 //     decision forwarding can never close that gap, so catch-up starts
 //     immediately.
 //   - Probed: Resume() — armed by the harness on Recover and on partition
-//     Heal — checks after CatchUpDelay whether any evidence of lag
+//     Heal — checks after catchUpDelay whether any evidence of lag
 //     accumulated and, if so, starts catch-up even for in-window gaps
 //     (which otherwise wedge until a suspicion happens to trigger a
 //     relay).
@@ -27,7 +27,7 @@ package ctabcast
 // most advanced peer observed; the reply carries the decision suffix
 // [from, next) out of the responder's log, which the straggler re-delivers
 // in order through the normal drain path. Retries rotate targets with
-// doubling backoff (base CatchUpRetry, capped), so a crashed responder
+// doubling backoff (base catchUpRetry, capped), so a crashed responder
 // only costs one timeout. If even the responder's log no longer reaches
 // back to `from`, the reply degrades to a full-snapshot handoff: the
 // retained suffix plus a copy of the responder's delivery tracker. The
@@ -45,11 +45,15 @@ import (
 )
 
 const (
-	defaultLogRetain    = 1024
-	defaultCatchUpDelay = 150 * time.Millisecond
-	defaultCatchUpRetry = 100 * time.Millisecond
+	defaultLogRetain = 1024
+	// catchUpDelay is how long after Resume() the catch-up probe checks
+	// for evidence of lag.
+	catchUpDelay = 150 * time.Millisecond
+	// catchUpRetry is the base retry backoff of the catch-up exchange
+	// (doubling, capped).
+	catchUpRetry = 100 * time.Millisecond
 	// catchUpBackoffCap bounds the retry backoff at this multiple of
-	// CatchUpRetry.
+	// catchUpRetry.
 	catchUpBackoffCap = 16
 	// maxIdleProbes is how many consecutive probe checks may observe a
 	// totally silent network before the probe stops waiting for evidence
@@ -181,14 +185,14 @@ func (p *Process) noteInstance(from proto.PID, k uint64) {
 		p.maxSeen = k
 		p.maxSeenFrom = from
 	}
-	if k >= p.nextDeliver+uint64(p.cfg.InstanceWindow) {
+	if k >= p.nextDeliver+instanceWindow {
 		p.startCatchUp()
 	}
 }
 
 // Resume arms the catch-up probe. The harness calls it when the process
 // recovers from an outage and, on every live process, when a partition
-// heals: after CatchUpDelay the process checks whether evidence of lag
+// heals: after catchUpDelay the process checks whether evidence of lag
 // has accumulated (a peer frontier above ours, or consensus messages
 // buffered for instances we cannot build yet) and starts catch-up if so.
 // With no evidence the probe's next move depends on what it heard in the
@@ -210,7 +214,7 @@ func (p *Process) Resume() {
 
 // armProbe schedules the next probe check of chain seq.
 func (p *Process) armProbe(seq uint64) {
-	p.rt.After(p.cfg.CatchUpDelay, func() { p.probeCatchUp(seq) })
+	p.rt.After(catchUpDelay, func() { p.probeCatchUp(seq) })
 }
 
 // probeCatchUp is the Resume probe body.
@@ -252,7 +256,7 @@ func (p *Process) startCatchUp() {
 		return
 	}
 	p.cuActive = true
-	p.cuBackoff = p.cfg.CatchUpRetry
+	p.cuBackoff = catchUpRetry
 	p.cuBlind = 0
 	p.cuTarget = p.maxSeenFrom
 	p.sendCatchUpReq()
@@ -270,7 +274,7 @@ func (p *Process) sendCatchUpReq() {
 	p.cuSeq++
 	seq := p.cuSeq
 	d := p.cuBackoff
-	if p.cuBackoff < catchUpBackoffCap*p.cfg.CatchUpRetry {
+	if p.cuBackoff < catchUpBackoffCap*catchUpRetry {
 		p.cuBackoff *= 2
 	}
 	p.rt.After(d, func() { p.onCatchUpRetry(seq) })
@@ -348,7 +352,7 @@ func (p *Process) onCatchUpReply(r *catchUpReply) {
 		// the new frontier, re-targeting the most advanced peer. A reply
 		// that made no progress instead waits for the armed retry timer,
 		// which rotates targets.
-		p.cuBackoff = p.cfg.CatchUpRetry
+		p.cuBackoff = catchUpRetry
 		p.cuTarget = p.maxSeenFrom
 		p.sendCatchUpReq()
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // TestLongOutageRecoveryDeliversSuffix is the silent-wedge regression
-// guard: a process that recovers after missing more than InstanceWindow
+// guard: a process that recovers after missing more than instanceWindow
 // decisions must still deliver the full suffix it missed. Peers have
 // garbage-collected the consensus instances it needs, so ordinary
 // decision forwarding cannot help — only the decision-log catch-up
@@ -20,7 +20,7 @@ func TestLongOutageRecoveryDeliversSuffix(t *testing.T) {
 	c.sys.CrashAt(2, at(100))
 	// 150 spaced broadcasts while p2 is down — each far enough apart to
 	// decide its own consensus instance, so the outage spans well over
-	// InstanceWindow (64) decisions.
+	// instanceWindow (64) decisions.
 	for i := 0; i < 150; i++ {
 		c.broadcastAt(proto.PID(i%2), at(float64(150+15*i)))
 	}
@@ -30,9 +30,9 @@ func TestLongOutageRecoveryDeliversSuffix(t *testing.T) {
 	// retention window at recovery time.
 	c.eng.Schedule(recoverAt.Add(time.Millisecond), func() {
 		gap := c.procs[0].NextInstance() - c.procs[2].NextInstance()
-		if gap <= uint64(c.procs[0].cfg.InstanceWindow) {
-			t.Errorf("outage spanned only %d decisions, want > InstanceWindow (%d)",
-				gap, c.procs[0].cfg.InstanceWindow)
+		if gap <= instanceWindow {
+			t.Errorf("outage spanned only %d decisions, want > instanceWindow (%d)",
+				gap, instanceWindow)
 		}
 	})
 	// Post-recovery traffic: the straggler sees live consensus messages
@@ -59,7 +59,7 @@ func TestLongOutageRecoveryDeliversSuffix(t *testing.T) {
 func TestIdleSystemRecoveryUnwedges(t *testing.T) {
 	c := newCluster(clusterOpts{n: 3, qos: fd.QoS{TD: 10 * time.Millisecond}})
 	c.sys.CrashAt(2, at(100))
-	// An outage spanning far more than InstanceWindow decisions, exactly
+	// An outage spanning far more than instanceWindow decisions, exactly
 	// like the long-outage scenario — but every broadcast has long
 	// drained before the recovery instant, and nothing follows it.
 	for i := 0; i < 150; i++ {

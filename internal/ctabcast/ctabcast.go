@@ -75,25 +75,17 @@ type Config struct {
 	// proposer of decision k coordinates round 1 of instance k+1. All
 	// processes must agree on this setting.
 	Renumber bool
-	// InstanceWindow bounds how many finished consensus instances are
-	// retained for decision forwarding to stragglers. Zero selects a
-	// sensible default.
-	InstanceWindow int
 	// LogRetain bounds the decision log kept for catch-up suffix
-	// transfer — the recovery path for gaps wider than InstanceWindow
-	// (see catchup.go). It should exceed InstanceWindow by a comfortable
+	// transfer — the recovery path for gaps wider than instanceWindow
+	// (see catchup.go). It should exceed instanceWindow by a comfortable
 	// margin; a straggler whose gap outgrows even the log falls back to
 	// the full-snapshot handoff. Zero selects a sensible default.
 	LogRetain int
-	// CatchUpDelay is how long after Resume() the catch-up probe checks
-	// for evidence of lag. Zero selects a sensible default.
-	CatchUpDelay time.Duration
-	// CatchUpRetry is the base retry backoff of the catch-up exchange
-	// (doubling, capped). Zero selects a sensible default.
-	CatchUpRetry time.Duration
 }
 
-const defaultInstanceWindow = 64
+// instanceWindow bounds how many finished consensus instances are
+// retained for decision forwarding to stragglers.
+const instanceWindow = 64
 
 // Process is the FD atomic broadcast endpoint at one process. It
 // implements proto.Handler.
@@ -169,17 +161,8 @@ func New(rt proto.Runtime, cfg Config) *Process {
 	if cfg.Deliver == nil {
 		panic("ctabcast: nil Deliver")
 	}
-	if cfg.InstanceWindow <= 0 {
-		cfg.InstanceWindow = defaultInstanceWindow
-	}
 	if cfg.LogRetain <= 0 {
 		cfg.LogRetain = defaultLogRetain
-	}
-	if cfg.CatchUpDelay <= 0 {
-		cfg.CatchUpDelay = defaultCatchUpDelay
-	}
-	if cfg.CatchUpRetry <= 0 {
-		cfg.CatchUpRetry = defaultCatchUpRetry
 	}
 	p := &Process{
 		rt:          rt,
@@ -489,10 +472,10 @@ func (p *Process) flushBuffered() {
 // window. Decision forwarding for recently finished instances keeps
 // working inside the window.
 func (p *Process) collectGarbage() {
-	if p.nextDeliver < uint64(p.cfg.InstanceWindow) {
+	if p.nextDeliver < instanceWindow {
 		return
 	}
-	floor := p.nextDeliver - uint64(p.cfg.InstanceWindow)
+	floor := p.nextDeliver - instanceWindow
 	for p.oldest < floor {
 		if s, ok := p.instances[p.oldest]; ok {
 			s.inst.Close()

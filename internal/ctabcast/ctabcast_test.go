@@ -471,8 +471,8 @@ func TestGarbageCollectionBoundsState(t *testing.T) {
 	if p.NextInstance() < 100 {
 		t.Fatalf("expected many instances, got %d", p.NextInstance())
 	}
-	if len(p.instances) > p.cfg.InstanceWindow+2 {
-		t.Fatalf("instance map grew to %d despite window %d", len(p.instances), p.cfg.InstanceWindow)
+	if len(p.instances) > instanceWindow+2 {
+		t.Fatalf("instance map grew to %d despite window %d", len(p.instances), instanceWindow)
 	}
 	if len(p.bodies) != 0 || len(p.pending) != 0 {
 		t.Fatalf("leftover state: %d bodies, %d pending", len(p.bodies), len(p.pending))

@@ -30,6 +30,7 @@ package experiment
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -161,16 +162,6 @@ type Config struct {
 	// the replication's events alongside the scenario. See Observer,
 	// LatencyDist and Trace.
 	Observers []ObserverFactory
-	// DistSketch switches the per-point latency distributions
-	// (Result.Dist, RepStats.Latencies, LatencyDist) from exact raw-value
-	// retention to a mergeable streaming quantile sketch with relative
-	// error at most DistSketch (see stats.Sketch): a huge point then
-	// costs O(sketch) memory instead of O(messages). Mean, CI95 and the
-	// extrema stay exact; quantiles carry the bound; Dist.Values becomes
-	// nil. Zero (the default) keeps exact mode; values must lie in
-	// [0, 1). Sketch-mode results remain bit-identical at any worker
-	// count — bucket-count merges commute.
-	DistSketch float64
 	// transient carries the crash-transient parameters down to observers
 	// when the runner executes the transient scenario, so a trace records
 	// the replayable scenario kind. Set by Runner.TransientAll only.
@@ -233,10 +224,18 @@ func (c Config) Validate() error {
 		return fmt.Errorf("experiment: unknown algorithm %d", int(c.Algorithm))
 	case c.N < 1:
 		return fmt.Errorf("experiment: N = %d", c.N)
-	case c.Throughput < 0:
-		return fmt.Errorf("experiment: negative throughput")
-	case c.DistSketch < 0 || c.DistSketch >= 1:
-		return fmt.Errorf("experiment: DistSketch = %v, want 0 (exact) or a relative error in (0, 1)", c.DistSketch)
+	case !finiteNonNegative(c.Throughput):
+		return fmt.Errorf("experiment: Throughput = %v, want a finite rate >= 0", c.Throughput)
+	case !finiteNonNegative(c.Lambda):
+		return fmt.Errorf("experiment: Lambda = %v, want a finite ratio >= 0 (0 selects 1)", c.Lambda)
+	case c.QoS.TD < 0 || c.QoS.TMR < 0 || c.QoS.TM < 0:
+		return fmt.Errorf("experiment: negative QoS parameter in %+v", c.QoS)
+	case c.Detector != nil && (c.Detector.Interval < 0 || c.Detector.Timeout < 0):
+		return fmt.Errorf("experiment: negative heartbeat Interval or Timeout in %+v", *c.Detector)
+	case c.Warmup < 0 || c.Measure < 0 || c.Drain < 0:
+		return fmt.Errorf("experiment: negative Warmup, Measure or Drain (%v, %v, %v)", c.Warmup, c.Measure, c.Drain)
+	case c.Replications < 0:
+		return fmt.Errorf("experiment: Replications = %d", c.Replications)
 	case c.Topology != nil && c.Topology.N != c.N:
 		return fmt.Errorf("experiment: topology %q is for %d processes, config has N=%d", c.Topology.Name, c.Topology.N, c.N)
 	}
@@ -281,15 +280,8 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// newDistCollector returns an empty latency collector in the mode
-// DistSketch selects: exact by default, sketch-backed when a relative
-// error bound is configured.
-func (c Config) newDistCollector() stats.Collector {
-	if c.DistSketch > 0 {
-		return stats.NewSketchCollector(c.DistSketch)
-	}
-	return stats.Collector{}
-}
+// finiteNonNegative reports whether x is a finite number >= 0.
+func finiteNonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // preCrashOrder returns the processes crashed before the run starts —
 // Config.Crashed first, then the plan's PreCrash events — in declaration

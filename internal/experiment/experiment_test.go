@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -277,9 +278,30 @@ func TestValidation(t *testing.T) {
 		"too many crashes":         {Algorithm: FD, N: 3, Crashed: []proto.PID{1, 2}},
 		"pre-crashed out of range": {Algorithm: FD, N: 3, Crashed: []proto.PID{5}},
 		"negative pre-crashed":     {Algorithm: FD, N: 3, Crashed: []proto.PID{-1}},
+		"negative throughput":      {Algorithm: FD, N: 3, Throughput: -1},
+		"NaN throughput":           {Algorithm: FD, N: 3, Throughput: math.NaN()},
+		"infinite throughput":      {Algorithm: FD, N: 3, Throughput: math.Inf(1)},
+		"negative lambda":          {Algorithm: FD, N: 3, Lambda: -1},
+		"NaN lambda":               {Algorithm: FD, N: 3, Lambda: math.NaN()},
+		"infinite lambda":          {Algorithm: FD, N: 3, Lambda: math.Inf(1)},
+		"negative TD":              {Algorithm: FD, N: 3, QoS: fd.QoS{TD: -5 * time.Millisecond}},
+		"negative TMR":             {Algorithm: FD, N: 3, QoS: fd.QoS{TMR: -1}},
+		"negative TM":              {Algorithm: FD, N: 3, QoS: fd.QoS{TM: -3 * time.Millisecond}},
+		"negative hb interval":     {Algorithm: FD, N: 3, Detector: &Heartbeat{Interval: -time.Millisecond}},
+		"negative hb timeout":      {Algorithm: FD, N: 3, Detector: &Heartbeat{Timeout: -time.Millisecond}},
 	}
 	for name, cfg := range cases {
 		mustReject(name, func() { RunSteady(fast(cfg)) })
+	}
+	for name, set := range map[string]func(*Config){
+		"negative warmup":       func(c *Config) { c.Warmup = -time.Millisecond },
+		"negative measure":      func(c *Config) { c.Measure = -time.Millisecond },
+		"negative drain":        func(c *Config) { c.Drain = -time.Millisecond },
+		"negative replications": func(c *Config) { c.Replications = -1 },
+	} {
+		cfg := fast(Config{Algorithm: FD, N: 3, Throughput: 10})
+		set(&cfg)
+		mustReject(name, func() { RunSteady(cfg) })
 	}
 	mustReject("crash == sender", func() {
 		RunTransient(TransientConfig{

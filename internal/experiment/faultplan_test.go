@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"compress/gzip"
 	"strings"
 	"testing"
 	"time"
@@ -250,53 +249,11 @@ func TestPlanTraceReplays(t *testing.T) {
 	}
 }
 
-// TestGzipTraceRoundTrip checks the TraceGzip option compresses and that
-// Replay autodetects it.
-func TestGzipTraceRoundTrip(t *testing.T) {
-	var plain, packed bytes.Buffer
-	trP := NewTrace(&plain)
-	trG := NewTrace(&packed, TraceGzip())
-	cfg := planBase(FD)
-	cfg.Replications = 1
-	for _, tr := range []*Trace{trP, trG} {
-		c := cfg
-		c.Observers = []ObserverFactory{tr.Observer}
-		var r Runner
-		r.Steady(c)
-		if err := tr.Flush(); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
-	}
-	if packed.Len() >= plain.Len() {
-		t.Fatalf("gzip trace (%d bytes) not smaller than plain (%d bytes)", packed.Len(), plain.Len())
-	}
-	gz, err := gzip.NewReader(bytes.NewReader(packed.Bytes()))
-	if err != nil {
-		t.Fatalf("not a gzip stream: %v", err)
-	}
-	var unpacked bytes.Buffer
-	if _, err := unpacked.ReadFrom(gz); err != nil {
-		t.Fatalf("decompress: %v", err)
-	}
-	if unpacked.String() != plain.String() {
-		t.Fatal("gzip trace decompresses to different content than the plain trace")
-	}
-	results, err := Replay(bytes.NewReader(packed.Bytes()))
-	if err != nil {
-		t.Fatalf("replay of gzip trace: %v", err)
-	}
-	for _, res := range results {
-		if !res.Match {
-			t.Fatalf("gzip replay diverged at point %d rep %d", res.Point, res.Rep)
-		}
-	}
-}
-
-// TestGzipTraceMultiFlush appends two runs as two gzip members and
-// replays the whole file.
-func TestGzipTraceMultiFlush(t *testing.T) {
+// TestTraceMultiFlush appends two runs to one writer, one Flush each,
+// and replays the whole stream: a Trace is reusable after Flush.
+func TestTraceMultiFlush(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTrace(&buf, TraceGzip())
+	tr := NewTrace(&buf)
 	cfg := planBase(FD)
 	cfg.Replications = 1
 	for i := 0; i < 2; i++ {
@@ -314,46 +271,6 @@ func TestGzipTraceMultiFlush(t *testing.T) {
 	}
 	if len(results) != 2 {
 		t.Fatalf("replayed %d replications across two flushes, want 2", len(results))
-	}
-}
-
-// TestTraceBufferLimitBoundsNetRecords checks the bounded-buffer option:
-// N records stop at the limit, a T marker reports the drop count, and
-// the trace still replays (digests ride on D records, which are kept).
-func TestTraceBufferLimitBoundsNetRecords(t *testing.T) {
-	var bounded, full bytes.Buffer
-	trB := NewTrace(&bounded, TraceBufferLimit(4096))
-	trF := NewTrace(&full)
-	cfg := planBase(FD)
-	cfg.Replications = 1
-	for _, tr := range []*Trace{trB, trF} {
-		c := cfg
-		c.Observers = []ObserverFactory{tr.Observer}
-		var r Runner
-		r.Steady(c)
-		if err := tr.Flush(); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
-	}
-	if bounded.Len() >= full.Len() {
-		t.Fatalf("bounded trace (%d bytes) not smaller than unbounded (%d bytes)", bounded.Len(), full.Len())
-	}
-	if !strings.Contains(bounded.String(), "\nT ") {
-		t.Fatal("bounded trace has no T truncation marker")
-	}
-	dCount := strings.Count(bounded.String(), "\nD ")
-	dFull := strings.Count(full.String(), "\nD ")
-	if dCount != dFull {
-		t.Fatalf("bounded trace dropped D records: %d vs %d", dCount, dFull)
-	}
-	results, err := Replay(&bounded)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	for _, res := range results {
-		if !res.Match {
-			t.Fatal("bounded trace no longer replays")
-		}
 	}
 }
 

@@ -119,9 +119,7 @@ func NewLatencyDist() *LatencyDist {
 // Observer is the ObserverFactory of the distribution: pass it in
 // Config.Observers.
 func (l *LatencyDist) Observer(point, rep int, cfg Config) Observer {
-	// The collector inherits the config's DistSketch mode, so sketch-mode
-	// sweeps keep their per-point observers O(sketch) too.
-	r := &latencyDistRep{sent: make(map[proto.MsgID]sim.Time), lat: cfg.newDistCollector()}
+	r := &latencyDistRep{sent: make(map[proto.MsgID]sim.Time)}
 	l.mu.Lock()
 	l.reps[repKey{point, rep}] = r
 	l.mu.Unlock()

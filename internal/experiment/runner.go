@@ -202,9 +202,7 @@ func (r *Runner) WorstCaseTransient(cfg TransientConfig, sweepCrash bool) Transi
 // Sweep with all axes nil is the single point Base. Observers attached
 // to Base see every point of the grid, keyed by its canonical index.
 type Sweep struct {
-	// Base supplies every non-swept field, including the DistSketch
-	// knob: set Base.DistSketch to run the whole grid's distributions in
-	// bounded-memory sketch mode.
+	// Base supplies every non-swept field.
 	Base        Config
 	Algorithms  []Algorithm
 	Ns          []int
@@ -345,7 +343,7 @@ func (r *Runner) Sweep(s Sweep) []Result {
 // bit-identical at any worker count.
 func aggregateSteady(cfg Config, reps []RepStats) Result {
 	var repMeans stats.Sample
-	pooled := cfg.newDistCollector()
+	var pooled stats.Collector
 	messages, undelivered := 0, 0
 	diverged := false
 	for i := range reps {

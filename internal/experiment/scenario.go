@@ -256,7 +256,7 @@ func (s *steadyScenario) Collect() RepStats {
 		ids = append(ids, id)
 	}
 	proto.SortMsgIDs(ids)
-	rs := RepStats{Latencies: s.cfg.newDistCollector()}
+	var rs RepStats
 	for _, id := range ids {
 		t1, ok := s.first[id]
 		if !ok {
@@ -318,7 +318,6 @@ func (t *transientScenario) Collect() RepStats {
 		rs.Undelivered = 1
 		return rs
 	}
-	rs.Latencies = t.cfg.newDistCollector()
 	rs.Latencies.Add(t.probeDelivered.Sub(t.probeSent).Seconds() * 1000)
 	return rs
 }

@@ -3,7 +3,6 @@ package experiment
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -45,55 +44,22 @@ import (
 //	F <at> <event>                     fault-plan event applied
 //	L <at> <event>                     load-plan event applied
 //	D <process> <origin> <seq> <at>    A-delivery
-//	T <dropped>                        N records dropped to the buffer bound
 //	E <fnv1a digest of the D records>  end of replication
 type Trace struct {
 	mu   sync.Mutex
 	w    io.Writer
 	reps map[repKey]*traceRep
-
-	gzipOut  bool
-	bufLimit int
-}
-
-// TraceOption configures a Trace at construction.
-type TraceOption func(*Trace)
-
-// TraceGzip makes Flush gzip-compress its output: each Flush writes one
-// gzip member, so appending several runs to one file still yields a valid
-// stream. ReplayTrace detects compression automatically, so traces stay
-// replayable either way. Long traces are dominated by repetitive N
-// records and compress by an order of magnitude.
-func TraceGzip() TraceOption { return func(t *Trace) { t.gzipOut = true } }
-
-// TraceBufferLimit bounds each replication's in-memory buffer to roughly
-// the given number of bytes: once a replication's buffer reaches the
-// limit, further N (network lifecycle) records are dropped and counted,
-// and the replication closes with a "T <dropped>" marker. B and D records
-// are always kept — they are small, and the D records carry the replay
-// digest — so a bounded trace still replays and verifies. Multi-minute
-// replications are dominated by N records (tens per message), which is
-// what makes the bound effective.
-func TraceBufferLimit(bytes int) TraceOption {
-	if bytes <= 0 {
-		panic(fmt.Sprintf("experiment: TraceBufferLimit(%d) is not positive", bytes))
-	}
-	return func(t *Trace) { t.bufLimit = bytes }
 }
 
 // NewTrace creates a trace exporter writing to w.
-func NewTrace(w io.Writer, opts ...TraceOption) *Trace {
-	t := &Trace{w: w, reps: make(map[repKey]*traceRep)}
-	for _, opt := range opts {
-		opt(t)
-	}
-	return t
+func NewTrace(w io.Writer) *Trace {
+	return &Trace{w: w, reps: make(map[repKey]*traceRep)}
 }
 
 // Observer is the ObserverFactory of the exporter: pass it in
 // Config.Observers.
 func (t *Trace) Observer(point, rep int, cfg Config) Observer {
-	r := &traceRep{limit: t.bufLimit}
+	r := &traceRep{}
 	hdr := headerFromConfig(cfg, point, rep)
 	b, err := json.Marshal(hdr)
 	if err != nil {
@@ -115,30 +81,16 @@ func (t *Trace) Observer(point, rep int, cfg Config) Observer {
 func (t *Trace) Flush() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	w := t.w
-	var gz *gzip.Writer
-	if t.gzipOut {
-		gz = gzip.NewWriter(t.w)
-		w = gz
-	}
 	for _, k := range t.sortedKeys() {
 		r := t.reps[k]
-		if _, err := w.Write(r.buf.Bytes()); err != nil {
+		if _, err := t.w.Write(r.buf.Bytes()); err != nil {
 			return err
 		}
-		if r.droppedNet > 0 {
-			if _, err := fmt.Fprintf(w, "T %d\n", r.droppedNet); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "E %016x\n", r.digest()); err != nil {
+		if _, err := fmt.Fprintf(t.w, "E %016x\n", r.digest()); err != nil {
 			return err
 		}
 	}
 	t.reps = make(map[repKey]*traceRep)
-	if gz != nil {
-		return gz.Close()
-	}
 	return nil
 }
 
@@ -181,10 +133,6 @@ type TraceDigest struct {
 type traceRep struct {
 	buf    bytes.Buffer
 	dLines bytes.Buffer // delivery records only, the digested subset
-	// limit bounds buf: at or past it, N records are dropped and counted
-	// instead of appended. Zero means unbounded.
-	limit      int
-	droppedNet int
 }
 
 func (r *traceRep) ObserveBroadcast(b Broadcast) {
@@ -198,10 +146,6 @@ func (r *traceRep) ObserveDelivery(d Delivery) {
 }
 
 func (r *traceRep) ObserveNet(ev netmodel.TraceEvent) {
-	if r.limit > 0 && r.buf.Len() >= r.limit {
-		r.droppedNet++
-		return
-	}
 	fmt.Fprintf(&r.buf, "N %s %d %d %d %s\n",
 		ev.Kind, ev.From, ev.To, int64(ev.At), netmodel.PayloadName(ev.Payload))
 }
@@ -236,7 +180,6 @@ type traceHeader struct {
 	TM              int64   `json:"tm,omitempty"`
 	Crashed         []int   `json:"crashed,omitempty"`
 	DisableRenumber bool    `json:"disableRenumber,omitempty"`
-	DistSketch      float64 `json:"distSketch,omitempty"`
 	Seed            uint64  `json:"seed"`
 	Warmup          int64   `json:"warmup"`
 	Measure         int64   `json:"measure"`
@@ -453,7 +396,6 @@ func headerFromConfig(cfg Config, point, rep int) traceHeader {
 		TMR:             int64(cfg.QoS.TMR),
 		TM:              int64(cfg.QoS.TM),
 		DisableRenumber: cfg.DisableRenumber,
-		DistSketch:      cfg.DistSketch,
 		Seed:            cfg.Seed,
 		Warmup:          int64(cfg.Warmup),
 		Measure:         int64(cfg.Measure),
@@ -500,7 +442,6 @@ func configFromHeader(h traceHeader) (Config, error) {
 		Throughput:      h.Throughput,
 		Lambda:          h.Lambda,
 		DisableRenumber: h.DisableRenumber,
-		DistSketch:      h.DistSketch,
 		Seed:            h.Seed,
 		Warmup:          time.Duration(h.Warmup),
 		Measure:         time.Duration(h.Measure),
@@ -560,45 +501,34 @@ type ReplayResult struct {
 // embedded configuration and compares the delivery digests. The
 // underlying simulations are deterministic, so a mismatch means either
 // the trace was edited or the simulator's behaviour changed since the
-// trace was recorded. Gzip-compressed traces (TraceGzip) are detected
-// automatically.
+// trace was recorded. A line that is not one of the record kinds above,
+// and a trace holding no complete replication, are errors: an empty or
+// foreign file must not pass as a verified trace.
 func Replay(r io.Reader) ([]ReplayResult, error) {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		gz, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: gzip trace: %w", err)
-		}
-		defer gz.Close()
-		return replayPlain(gz)
-	}
-	return replayPlain(br)
-}
-
-func replayPlain(r io.Reader) ([]ReplayResult, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var out []ReplayResult
 	var hdr *traceHeader
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "C "):
+	for line := 1; sc.Scan(); line++ {
+		text := sc.Text()
+		kind, rest, _ := strings.Cut(text, " ")
+		switch kind {
+		case "C":
 			if hdr != nil {
 				return out, fmt.Errorf("experiment: trace replication (point %d, rep %d) has no E record", hdr.Point, hdr.Rep)
 			}
 			var h traceHeader
-			if err := json.Unmarshal([]byte(line[2:]), &h); err != nil {
+			if err := json.Unmarshal([]byte(rest), &h); err != nil {
 				return out, fmt.Errorf("experiment: bad trace header: %w", err)
 			}
 			hdr = &h
-		case strings.HasPrefix(line, "E "):
+		case "E":
 			if hdr == nil {
 				return out, fmt.Errorf("experiment: E record without a preceding C header")
 			}
 			var recorded uint64
-			if _, err := fmt.Sscanf(line[2:], "%x", &recorded); err != nil {
-				return out, fmt.Errorf("experiment: bad digest %q: %w", line[2:], err)
+			if _, err := fmt.Sscanf(rest, "%x", &recorded); err != nil {
+				return out, fmt.Errorf("experiment: bad digest %q: %w", rest, err)
 			}
 			replayed, err := replayOne(*hdr)
 			if err != nil {
@@ -612,6 +542,9 @@ func replayPlain(r io.Reader) ([]ReplayResult, error) {
 				Match:    recorded == replayed,
 			})
 			hdr = nil
+		case "B", "N", "F", "L", "D":
+		default:
+			return out, fmt.Errorf("experiment: trace line %d is not a trace record: %.40q", line, text)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -619,6 +552,9 @@ func replayPlain(r io.Reader) ([]ReplayResult, error) {
 	}
 	if hdr != nil {
 		return out, fmt.Errorf("experiment: trace ends mid-replication (point %d, rep %d)", hdr.Point, hdr.Rep)
+	}
+	if len(out) == 0 {
+		return out, fmt.Errorf("experiment: trace holds no complete replication")
 	}
 	return out, nil
 }

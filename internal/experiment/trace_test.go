@@ -193,8 +193,9 @@ func TestReplayDetectsTampering(t *testing.T) {
 }
 
 // TestReplayRejectsTruncatedTrace checks the error paths: a trace cut
-// mid-replication, an orphan digest record and headers with out-of-range
-// processes all fail loudly, with an error rather than a panic.
+// mid-replication, an orphan digest record, headers with out-of-range
+// processes or parameters, and input that is no trace at all fail
+// loudly, with an error rather than a panic.
 func TestReplayRejectsTruncatedTrace(t *testing.T) {
 	if _, err := Replay(strings.NewReader(`C {"kind":"steady","alg":1,"n":3,"throughput":10,"seed":1,"warmup":1,"measure":1,"drain":1,"replications":1}` + "\n")); err == nil {
 		t.Fatal("truncated trace did not error")
@@ -223,9 +224,29 @@ func TestReplayRejectsTruncatedTrace(t *testing.T) {
 	// Steady headers naming an out-of-range pre-crashed process must fail
 	// validation instead of indexing past the system.
 	const steady = `C {"kind":"steady","alg":1,"n":3,"throughput":10,"seed":1,"warmup":1,"measure":1,"drain":1,"replications":1,%s}` + "\nE 0000000000000000\n"
-	for _, crashed := range []string{`"crashed":[9]`, `"crashed":[-1]`} {
-		if _, err := Replay(strings.NewReader(fmt.Sprintf(steady, crashed))); err == nil {
-			t.Fatalf("steady header with %s did not error", crashed)
+	for _, field := range []string{
+		`"crashed":[9]`,
+		`"crashed":[-1]`,
+		`"topo":{"gen":"geo","n":3,"sites":0,"perSite":3}`,
+		`"lambda":-1`,
+		`"td":-5`,
+		`"tm":-3`,
+		`"warmup":-1000000`,
+	} {
+		if _, err := Replay(strings.NewReader(fmt.Sprintf(steady, field))); err == nil {
+			t.Fatalf("steady header with %s did not error", field)
+		}
+	}
+	// Input that holds no replication, or lines that are no trace record,
+	// must not pass as a verified trace.
+	for name, in := range map[string]string{
+		"empty":       "",
+		"garbage":     "hello\nworld\n",
+		"gzip magic":  "\x1f\x8b\x08\x00\x00\x00\x00\x00",
+		"blank lines": "\n\n",
+	} {
+		if res, err := Replay(strings.NewReader(in)); err == nil {
+			t.Fatalf("%s input replayed %d replications without error", name, len(res))
 		}
 	}
 }

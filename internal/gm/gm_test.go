@@ -80,7 +80,7 @@ func newRig(n int, qos fd.QoS, initial []proto.PID) *rig {
 	}
 	for i := 0; i < n; i++ {
 		app := &fakeApp{id: proto.PID(i)}
-		g := New(sys.Proc(proto.PID(i)), Config{})
+		g := New(sys.Proc(proto.PID(i)))
 		g.SetApp(app)
 		r.gms[i] = g
 		r.apps[i] = app
@@ -315,7 +315,7 @@ func TestJoinRetryUntilWelcomed(t *testing.T) {
 func TestStartValidation(t *testing.T) {
 	eng := sim.New()
 	sys := proto.NewSystem(eng, netmodel.DefaultConfig(1), fd.QoS{}, sim.NewRand(1))
-	g := New(sys.Proc(0), Config{})
+	g := New(sys.Proc(0))
 	func() {
 		defer func() {
 			if recover() == nil {

@@ -94,15 +94,6 @@ type Config struct {
 	// InitialMembers is the first view (nil means all processes). The
 	// crash-steady scenarios pass the surviving processes only.
 	InitialMembers []proto.PID
-	// GM configures the membership service.
-	GM gm.Config
-	// LogRetain bounds the delivered log kept for state transfer; zero
-	// selects the default. A rejoin reaching below the retained window
-	// panics — raise LogRetain for scenarios with very long exclusions.
-	LogRetain int
-	// BufferLimit bounds protocol messages buffered while excluded;
-	// zero selects the default.
-	BufferLimit int
 	// SeqBase is the initial value of the local A-broadcast counter. A
 	// recovered incarnation passes the number of message IDs its previous
 	// incarnations consumed, so new IDs never collide with pre-crash ones
@@ -114,8 +105,11 @@ type Config struct {
 }
 
 const (
-	defaultLogRetain   = 16384
-	defaultBufferLimit = 4096
+	// logRetain bounds the delivered log kept for state transfer. A
+	// rejoin reaching below the retained window panics.
+	logRetain = 16384
+	// bufferLimit bounds protocol messages buffered while excluded.
+	bufferLimit = 4096
 )
 
 // Process is the GM atomic broadcast endpoint at one process. It
@@ -175,12 +169,6 @@ func New(rt proto.Runtime, cfg Config) *Process {
 	if cfg.Deliver == nil {
 		panic("seqabcast: nil Deliver")
 	}
-	if cfg.LogRetain <= 0 {
-		cfg.LogRetain = defaultLogRetain
-	}
-	if cfg.BufferLimit <= 0 {
-		cfg.BufferLimit = defaultBufferLimit
-	}
 	p := &Process{
 		rt:        rt,
 		cfg:       cfg,
@@ -189,7 +177,7 @@ func New(rt proto.Runtime, cfg Config) *Process {
 		delivered: proto.NewIDTracker(),
 	}
 	p.resetViewState()
-	p.gm = gm.New(rt, cfg.GM)
+	p.gm = gm.New(rt)
 	p.gm.SetApp(p)
 	return p
 }
@@ -445,7 +433,7 @@ func (p *Process) onDeliver(from proto.PID, m MsgDeliver) {
 // after its state transfer.
 func (p *Process) acceptProtocol(from proto.PID, view uint64, payload any) bool {
 	if p.IsExcluded() {
-		if len(p.buffered) < p.cfg.BufferLimit {
+		if len(p.buffered) < bufferLimit {
 			p.buffered = append(p.buffered, bufferedPayload{from: from, payload: payload})
 		}
 		return false
@@ -508,10 +496,10 @@ func (p *Process) pruneStable() {
 
 // trimLog bounds the state-transfer log.
 func (p *Process) trimLog() {
-	if len(p.log) <= p.cfg.LogRetain+1024 {
+	if len(p.log) <= logRetain+1024 {
 		return
 	}
-	drop := len(p.log) - p.cfg.LogRetain
+	drop := len(p.log) - logRetain
 	p.log = append([]LogEntry{}, p.log[drop:]...)
 	p.logStart += uint64(drop)
 }
@@ -594,8 +582,8 @@ func (p *Process) SyncRequest() uint64 { return p.DeliveredCount() }
 // SyncPayload implements gm.App: the missing suffix of the delivered log.
 func (p *Process) SyncPayload(afterCount uint64) any {
 	if afterCount < p.logStart {
-		panic(fmt.Sprintf("seqabcast: state transfer needs deliveries from %d but log starts at %d; raise LogRetain",
-			afterCount, p.logStart))
+		panic(fmt.Sprintf("seqabcast: state transfer needs deliveries from %d but log starts at %d (the log keeps the last %d)",
+			afterCount, p.logStart, logRetain))
 	}
 	start := afterCount - p.logStart
 	entries := make([]LogEntry, len(p.log[start:]))

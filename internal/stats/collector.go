@@ -19,79 +19,30 @@ import (
 // accumulation bit for bit regardless of which worker ran which
 // replication. The zero value is an empty collector ready for use.
 //
-// A collector can alternatively run in sketch mode (NewSketchCollector):
-// instead of retaining raw observations it feeds them into a mergeable
-// streaming quantile sketch (see Sketch), so a multi-million-message
-// point costs O(sketch) memory instead of O(messages). Mean, variance,
-// CI95 and the extrema stay exact (the Welford accumulator is kept
-// either way); quantiles, and anything derived from them, carry the
-// sketch's documented relative-error bound; Values returns nil and
-// SplitAt panics, as both need the raw observations. Merging an exact
-// collector into a sketch-mode one folds its retained values into the
-// sketch; merging a sketch-mode collector into an exact one promotes
-// the target to sketch mode first. Sketch-mode merge results are
-// bit-identical under any merge grouping of the same observations.
-//
 // Empty-collector contract: N is 0, Mean and every quantile are NaN,
 // Merge with an empty collector (in either direction) is exact — the
 // same contract as the underlying Sample.
 type Collector struct {
 	sample Sample
 	values []float64
-	sketch *Sketch
 }
-
-// NewSketchCollector creates an empty collector in sketch mode with
-// relative-error bound alpha (see NewSketch for the constraint on
-// alpha).
-func NewSketchCollector(alpha float64) Collector {
-	return Collector{sketch: NewSketch(alpha)}
-}
-
-// Sketched reports whether the collector runs in sketch mode.
-func (c Collector) Sketched() bool { return c.sketch != nil }
 
 // Add records one observation.
 func (c *Collector) Add(x float64) {
 	c.sample.Add(x)
-	if c.sketch != nil {
-		c.sketch.Add(x)
-		return
-	}
 	c.values = append(c.values, x)
 }
 
 // Merge appends another collector's observations, in their original
 // order, and merges the moment accumulators (parallel Welford merge).
 // Merging an empty collector is a no-op; merging into an empty collector
-// copies o exactly (including its mode). Mixed-mode merges converge on
-// sketch mode; merging two sketch-mode collectors requires matching
-// alphas.
+// copies o exactly.
 func (c *Collector) Merge(o *Collector) {
 	if o.N() == 0 {
 		return
 	}
 	c.sample.AddSample(o.sample)
-	switch {
-	case c.sketch != nil && o.sketch != nil:
-		c.sketch.Merge(o.sketch)
-	case c.sketch != nil:
-		for _, x := range o.values {
-			c.sketch.Add(x)
-		}
-	case o.sketch != nil:
-		// Promote to sketch mode: fold the retained exact values into a
-		// fresh sketch with the operand's layout, then merge.
-		sk := NewSketch(o.sketch.Alpha())
-		for _, x := range c.values {
-			sk.Add(x)
-		}
-		sk.Merge(o.sketch)
-		c.sketch = sk
-		c.values = nil
-	default:
-		c.values = append(c.values, o.values...)
-	}
+	c.values = append(c.values, o.values...)
 }
 
 // N returns the number of observations.
@@ -108,45 +59,25 @@ func (c Collector) Sample() Sample { return c.sample }
 func (c Collector) Summarize() Summary { return c.sample.Summarize() }
 
 // Values returns the observations in insertion order. The slice is
-// freshly allocated. A sketch-mode collector does not retain raw
-// observations and returns nil.
+// freshly allocated.
 func (c Collector) Values() []float64 {
-	if c.sketch != nil {
-		return nil
-	}
 	out := make([]float64, len(c.values))
 	copy(out, c.values)
 	return out
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of the collected
-// observations, interpolating between order statistics — or, in sketch
-// mode, the sketch's estimate within its relative-error bound. Empty
+// observations, interpolating between order statistics. Empty
 // collectors return NaN.
 func (c Collector) Quantile(q float64) float64 {
-	if c.sketch != nil {
-		return c.sketch.Quantile(q)
-	}
 	return Quantile(c.values, q)
 }
 
 // Quantiles snapshots the canonical order statistics of the collection:
 // the per-point distribution shape the figures report. An empty
-// collector yields N = 0 and NaN everywhere else. The values (or the
-// sketch's buckets) are sorted once for all three quantiles; Min and
-// Max are exact in both modes.
+// collector yields N = 0 and NaN everywhere else. The values are
+// sorted once for all three quantiles.
 func (c Collector) Quantiles() Quantiles {
-	if c.sketch != nil {
-		keys := c.sketch.sortedKeys()
-		return Quantiles{
-			N:   c.N(),
-			Min: c.sample.Min(),
-			P50: c.sketch.quantileKeys(keys, 0.50),
-			P90: c.sketch.quantileKeys(keys, 0.90),
-			P99: c.sketch.quantileKeys(keys, 0.99),
-			Max: c.sample.Max(),
-		}
-	}
 	sorted := make([]float64, len(c.values))
 	copy(sorted, c.values)
 	sort.Float64s(sorted)
@@ -162,18 +93,9 @@ func (c Collector) Quantiles() Quantiles {
 
 // Histogram bins the collected observations into bins equal-width bins
 // over [lo, hi); out-of-range observations clamp into the first or last
-// bin, as Histogram.Add documents. A sketch-mode collector bins its
-// bucket estimates weighted by count, so bin totals are exact while bin
-// boundaries blur by at most the sketch's relative error.
+// bin, as Histogram.Add documents.
 func (c Collector) Histogram(lo, hi float64, bins int) *Histogram {
 	h := NewHistogram(lo, hi, bins)
-	if sk := c.sketch; sk != nil {
-		h.AddN(0, int(sk.zero))
-		for i, n := range sk.counts {
-			h.AddN(sk.value(i), int(n))
-		}
-		return h
-	}
 	for _, x := range c.values {
 		h.Add(x)
 	}
@@ -186,12 +108,7 @@ func (c Collector) Histogram(lo, hi float64, bins int) *Histogram {
 // and suspicion scenarios most messages deliver at failure-free latency
 // while a second population is delayed by detection or a view change,
 // and the two populations are only visible once the mean is taken apart.
-// SplitAt needs the raw observations and panics on a sketch-mode
-// collector.
 func (c Collector) SplitAt(x float64) (early, late Collector) {
-	if c.sketch != nil {
-		panic("stats: SplitAt needs raw observations; collector is in sketch mode")
-	}
 	for _, v := range c.values {
 		if v < x {
 			early.Add(v)

@@ -267,14 +267,7 @@ func NewHistogram(lo, hi float64, bins int) *Histogram {
 }
 
 // Add records an observation.
-func (h *Histogram) Add(x float64) { h.AddN(x, 1) }
-
-// AddN records n observations of the same value, the bulk form used
-// when re-binning a quantile sketch's buckets. n <= 0 records nothing.
-func (h *Histogram) AddN(x float64, n int) {
-	if n <= 0 {
-		return
-	}
+func (h *Histogram) Add(x float64) {
 	bins := len(h.Counts)
 	i := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
 	if i < 0 {
@@ -283,8 +276,8 @@ func (h *Histogram) AddN(x float64, n int) {
 	if i >= bins {
 		i = bins - 1
 	}
-	h.Counts[i] += n
-	h.total += n
+	h.Counts[i]++
+	h.total++
 }
 
 // Total returns the number of observations recorded.

@@ -62,8 +62,13 @@ func (t *Topology) Spec() Spec {
 // back through their generator, so the result is structurally identical
 // to the original; raw specs rebuild the graph verbatim. Unknown
 // generators are an error — replaying a trace from a newer writer must
-// fail loudly.
-func FromSpec(s Spec) (*Topology, error) {
+// fail loudly — and so are parameters the generator rejects.
+func FromSpec(s Spec) (t *Topology, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			t, err = nil, fmt.Errorf("topo: invalid spec: %v", r)
+		}
+	}()
 	switch s.Gen {
 	case "":
 	case "fullmesh":
@@ -88,7 +93,7 @@ func FromSpec(s Spec) (*Topology, error) {
 	default:
 		return nil, fmt.Errorf("topo: unknown generator %q in spec", s.Gen)
 	}
-	t := &Topology{Name: s.Name, N: s.N, Wires: s.Wires, Groups: s.Groups}
+	t = &Topology{Name: s.Name, N: s.N, Wires: s.Wires, Groups: s.Groups}
 	t.Edges = make([]Edge, len(s.Edges))
 	for i, e := range s.Edges {
 		t.Edges[i] = Edge{From: e[0], To: e[1], Wire: e[2]}

@@ -26,6 +26,10 @@
 //
 // Time inside a simulation is virtual: one network time unit is 1 ms, as
 // in the paper, and simulations are deterministic given a seed.
+//
+// The package re-exports only the names its examples and commands use;
+// the internal packages hold the rest (event types, the stats carrier,
+// further topology and group-map generators).
 package repro
 
 import (
@@ -88,12 +92,6 @@ func RunTransient(cfg TransientConfig) TransientResult {
 	return experiment.RunTransient(cfg)
 }
 
-// WorstCaseTransient maximises the transient latency over senders (and
-// optionally over the crashed process): the paper's Lcrash.
-func WorstCaseTransient(cfg TransientConfig, sweepCrash bool) TransientResult {
-	return experiment.WorstCaseTransient(cfg, sweepCrash)
-}
-
 // Runner executes experiments, fanning independent replications out over
 // a bounded worker pool (Workers: 0 selects GOMAXPROCS, 1 is serial).
 // Results are merged in canonical (point, replication) order, so output
@@ -114,59 +112,19 @@ func RunSweep(s Sweep) []Result {
 	return r.Sweep(s)
 }
 
-// RunSteadyAll runs several steady-state points at once, fanning every
-// (point, replication) pair out over GOMAXPROCS workers. Results come
-// back in point order, identical to running each point serially.
-func RunSteadyAll(cfgs []Config) []Result {
-	var r Runner
-	return r.SteadyAll(cfgs)
-}
-
-// Collector is a mergeable latency distribution: Welford moments plus
-// every raw observation, supporting exact quantiles, histograms and the
-// early/late population split of the paper's crash and suspicion
-// figures. Result.Dist and TransientResult.Dist carry one per point.
-//
-// Setting Config.DistSketch switches the per-point collectors to a
-// bounded-memory streaming quantile sketch (see Sketch): means and
-// confidence intervals stay exact, quantiles carry the configured
-// relative-error bound, and a multi-million-message point costs
-// O(sketch) memory instead of retaining every latency.
-type Collector = stats.Collector
-
-// Sketch is the mergeable streaming quantile sketch behind sketch-mode
-// collectors: DDSketch-style logarithmic buckets with a configurable
-// relative-error bound and an order-insensitive, bit-exact merge.
-type Sketch = stats.Sketch
-
-// NewSketchCollector creates an empty Collector in sketch mode with the
-// given relative-error bound (0 < alpha < 1), for code that aggregates
-// distributions outside the experiment harness.
-func NewSketchCollector(alpha float64) Collector { return stats.NewSketchCollector(alpha) }
-
 // Quantiles snapshots a distribution's order statistics (min, P50, P90,
 // P99, max); every Result carries one for its point.
 type Quantiles = stats.Quantiles
-
-// Histogram counts observations into equal-width bins; build one from
-// any Collector via its Histogram method.
-type Histogram = stats.Histogram
 
 // Summary is a mean-centric snapshot (mean, standard deviation, 95%
 // confidence interval, extrema) — the paper's error-bar statistics.
 type Summary = stats.Summary
 
 // Observer receives a replication's A-deliveries; implementations that
-// also satisfy BroadcastObserver or NetObserver additionally receive
-// A-broadcasts and network-model lifecycle events. Observers compose
-// cross-cutting measurement with any scenario through Config.Observers.
+// also have an ObserveBroadcast(ObservedBroadcast) method additionally
+// receive A-broadcasts. Observers compose cross-cutting measurement with
+// any scenario through Config.Observers.
 type Observer = experiment.Observer
-
-// BroadcastObserver is the optional sending-side interface of Observer.
-type BroadcastObserver = experiment.BroadcastObserver
-
-// NetObserver is the optional network-tracer interface of Observer.
-type NetObserver = experiment.NetObserver
 
 // ObserverFactory builds one Observer per replication; point indexes the
 // config within the executed batch (a Sweep's canonical point order) and
@@ -177,7 +135,8 @@ type ObserverFactory = experiment.ObserverFactory
 // interactive Cluster API reports its own richer Delivery type.)
 type ObservedDelivery = experiment.Delivery
 
-// ObservedBroadcast is the A-broadcast event BroadcastObservers receive.
+// ObservedBroadcast is the A-broadcast event observers with an
+// ObserveBroadcast method receive.
 type ObservedBroadcast = experiment.Broadcast
 
 // LatencyDist is a cross-cutting observer pooling broadcast-to-first-
@@ -195,26 +154,9 @@ func NewLatencyDist() *LatencyDist { return experiment.NewLatencyDist() }
 // and verifies the delivery digests. Call Flush after the run.
 type Trace = experiment.Trace
 
-// TraceDigest names one replication's delivery digest.
-type TraceDigest = experiment.TraceDigest
-
-// TraceOption configures a Trace exporter at construction.
-type TraceOption = experiment.TraceOption
-
-// TraceGzip makes the trace exporter gzip-compress its output (one gzip
-// member per Flush); ReplayTrace auto-detects compressed traces.
-func TraceGzip() TraceOption { return experiment.TraceGzip() }
-
-// TraceBufferLimit bounds each replication's in-memory trace buffer to
-// roughly the given number of bytes by dropping further network
-// lifecycle records past it (broadcast and delivery records — the
-// replayable, digested core — are always kept). A "T <dropped>" marker
-// records the truncation.
-func TraceBufferLimit(bytes int) TraceOption { return experiment.TraceBufferLimit(bytes) }
-
 // NewTrace creates a trace exporter writing to w; attach it by appending
 // its Observer method to Config.Observers.
-func NewTrace(w io.Writer, opts ...TraceOption) *Trace { return experiment.NewTrace(w, opts...) }
+func NewTrace(w io.Writer) *Trace { return experiment.NewTrace(w) }
 
 // ReplayResult reports one replayed trace replication: the recorded and
 // re-run delivery digests and whether they match.
@@ -230,7 +172,7 @@ func ReplayTrace(r io.Reader) ([]ReplayResult, error) { return experiment.Replay
 // suspicion bursts, partitions and heals, per-link loss and delay. One
 // plan drives every surface — Config.Plan for experiments, Sweep.Plans
 // to cross whole failure schedules with every other axis, and
-// ClusterConfig.Plan (or the Cluster's *At methods) interactively — and
+// ClusterConfig.Plan (or the Cluster's CrashAt and SuspectAt) — and
 // planned runs stay deterministic, sweepable and trace-replayable.
 type FaultPlan = experiment.FaultPlan
 
@@ -241,41 +183,10 @@ func NewFaultPlan(events ...PlanEvent) *FaultPlan {
 	return experiment.NewFaultPlan(events...)
 }
 
-// PlanEvent is one typed event on a FaultPlan's timeline: one of Crash,
-// Recover, SuspicionBurst, Partition, Heal, LinkFault or PreCrash.
+// PlanEvent is one typed event on a FaultPlan's timeline: a crash,
+// recovery, suspicion burst, partition, heal, link fault or pre-crash.
+// ClusterConfig.OnFault receives them as they apply.
 type PlanEvent = experiment.PlanEvent
-
-// Crash kills a process at an instant (reversible by Recover).
-type Crash = experiment.Crash
-
-// Recover revives a crashed process: GM algorithms rejoin through the
-// membership service with state transfer, the crash-stop FD algorithm
-// resumes from its pre-crash state (a long outage).
-type Recover = experiment.Recover
-
-// SuspicionBurst injects a scripted wrong suspicion of a process, by the
-// listed monitors or (nil) by everyone.
-type SuspicionBurst = experiment.SuspicionBurst
-
-// Partition splits the system into isolated groups; unlisted processes
-// are isolated alone. Failure detectors treat unreachable processes like
-// crashed ones until the partition heals.
-type Partition = experiment.Partition
-
-// Heal removes the partition in force.
-type Heal = experiment.Heal
-
-// LinkFault degrades one directed link: probabilistic loss and/or extra
-// delay. Zero both to clear it.
-type LinkFault = experiment.LinkFault
-
-// PreCrash establishes the crash-steady initial condition for a process;
-// Config.Crashed and ClusterConfig.PreCrashed are constructors for it.
-type PreCrash = experiment.PreCrash
-
-// PlanObserver is the optional observer interface receiving fault-plan
-// events at the instants they apply.
-type PlanObserver = experiment.PlanObserver
 
 // LoadPlan is a deterministic, virtual-time-ordered timeline of typed
 // workload-shaping events — FaultPlan's load-side sibling: rate changes
@@ -283,63 +194,39 @@ type PlanObserver = experiment.PlanObserver
 // pauses. One plan drives every surface — Config.Load for experiments,
 // Sweep.Loads to cross shaping schedules with every other axis (Plans
 // included, so "overload while partitioned" is one grid point), and
-// ClusterConfig.Load (or the Cluster's SetRateAt/BurstAt/MuteAt/...)
-// interactively — and shaped runs stay deterministic, sweepable and
-// trace-replayable. Rate changes consume no randomness: the gap in
-// flight rescales (the exponential is memoryless), so a plan that leaves
-// every rate unchanged is bit-identical to no plan at all.
+// ClusterConfig.Load for a cluster — and shaped runs stay
+// deterministic, sweepable and trace-replayable. Rate changes consume no
+// randomness: the gap in flight rescales (the exponential is
+// memoryless), so a plan that leaves every rate unchanged is
+// bit-identical to no plan at all.
 type LoadPlan = experiment.LoadPlan
 
 // NewLoadPlan creates a plan from the given events; the plan's chainable
-// helpers (Rate, Burst, Mute, Unmute, Pause, Resume) append further ones.
+// helpers (Rate, Burst, Mute, Unmute, Pause, Resume, Mix) append further
+// ones.
 func NewLoadPlan(events ...LoadEvent) *LoadPlan {
 	return experiment.NewLoadPlan(events...)
 }
 
-// LoadEvent is one typed event on a LoadPlan's timeline: one of
-// RateChange, Burst, Mute, Unmute, Pause or Resume.
+// LoadEvent is one typed event on a LoadPlan's timeline: a rate change,
+// burst, mute, unmute, pause, resume or cross-shard mix change.
+// ClusterConfig.OnLoad receives them as they apply.
 type LoadEvent = experiment.LoadEvent
-
-// RateChange sets the A-broadcast rate: sender AllSenders re-spreads the
-// rate as a new total throughput, a concrete sender gets it absolutely.
-type RateChange = experiment.RateChange
-
-// Burst multiplies a sender's (or everyone's) rate by a factor for a
-// duration — the spike of the overload figures.
-type Burst = experiment.Burst
-
-// Mute silences one sender (or everyone), freezing its gap and keeping
-// its logical rate for Unmute.
-type Mute = experiment.Mute
-
-// Unmute lifts a Mute.
-type Unmute = experiment.Unmute
-
-// Pause silences the whole workload; Resume lifts it (individually muted
-// senders stay muted).
-type Pause = experiment.Pause
-
-// Resume lifts a Pause.
-type Resume = experiment.Resume
 
 // AllSenders addresses every sender at once in a load event.
 const AllSenders = experiment.AllSenders
-
-// LoadObserver is the optional observer interface receiving load-plan
-// events at the instants they apply.
-type LoadObserver = experiment.LoadObserver
 
 // HeartbeatDetector returns a heartbeat failure-detector tuning (in
 // milliseconds, the paper's unit) for Config.Detector, Sweep.Detectors
 // or ClusterConfig.Heartbeat. Zero values select the defaults (10 ms
 // interval, 3x interval timeout).
 func HeartbeatDetector(intervalMs, timeoutMs float64) *HeartbeatConfig {
-	return &HeartbeatConfig{Interval: Milliseconds(intervalMs), Timeout: Milliseconds(timeoutMs)}
+	return &HeartbeatConfig{Interval: milliseconds(intervalMs), Timeout: milliseconds(timeoutMs)}
 }
 
-// Milliseconds converts a float millisecond count into a time.Duration —
-// a convenience mirroring the paper's habit of quoting everything in ms.
-func Milliseconds(ms float64) time.Duration {
+// milliseconds converts a float millisecond count into a time.Duration,
+// the paper's unit.
+func milliseconds(ms float64) time.Duration {
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
@@ -361,9 +248,6 @@ type Topology = topo.Topology
 // and per-copy loss probability.
 type Wire = topo.Wire
 
-// Edge is a directed connection between two processes riding a wire.
-type Edge = topo.Edge
-
 // GeoConfig parameterises a Geo topology: Sites datacenters of PerSite
 // processes, each site a clique on a LAN wire, sites joined pairwise by
 // WAN wires between gateways.
@@ -373,18 +257,9 @@ type GeoConfig = topo.GeoConfig
 // one shared default-slot wire.
 func FullMesh(n int) *Topology { return topo.FullMesh(n) }
 
-// Star joins every process to hub 0 over dedicated spoke wires; spoke-
-// to-spoke traffic relays through the hub.
-func Star(n int) *Topology { return topo.Star(n) }
-
 // Ring joins each process to its two neighbours; multicasts propagate
 // both ways around, so latency grows with n while contention stays flat.
 func Ring(n int) *Topology { return topo.Ring(n) }
-
-// OneWayRing joins each process to its successor over a dedicated
-// unidirectional wire — the fully directed topology, where a message to
-// the predecessor relays through every other process.
-func OneWayRing(n int) *Topology { return topo.OneWayRing(n) }
 
 // Clique joins every process pair with a dedicated wire — full direct
 // connectivity with no shared medium, the switched-network limit.
@@ -404,27 +279,8 @@ func Geo(cfg GeoConfig) *Topology { return topo.Geo(cfg) }
 // at the destinations. Carry one on Config.Groups, Sweep.GroupMaps or
 // ClusterConfig.Groups; nil (or any single-group map covering everyone)
 // is bit-identical to the paper's one-group broadcast path. Build one
-// with a generator below or NewGroupMap; see internal/groups for the
-// ordering protocol.
+// with a generator below; see internal/groups for the ordering protocol.
 type GroupMap = groups.GroupMap
-
-// GroupSpec is the compact self-describing form of a GroupMap that trace
-// headers embed, so a replayed trace rebuilds the exact map.
-type GroupSpec = groups.Spec
-
-// NewGroupMap builds a GroupMap from explicit member lists, one per
-// group. Every process must belong to at least one group. It panics on
-// invalid input.
-func NewGroupMap(n int, members [][]int) *GroupMap {
-	ms := make([][]proto.PID, len(members))
-	for g, ps := range members {
-		ms[g] = make([]proto.PID, len(ps))
-		for i, p := range ps {
-			ms[g][i] = proto.PID(p)
-		}
-	}
-	return groups.New(n, ms)
-}
 
 // Disjoint partitions n processes into k equal (±1) disjoint groups —
 // the pure sharding end of the overlap spectrum.
@@ -434,15 +290,6 @@ func Disjoint(n, k int) *GroupMap { return groups.Disjoint(n, k) }
 // bridge process — the sparse-overlap middle of the spectrum.
 func Chained(n, k int) *GroupMap { return groups.Chained(n, k) }
 
-// CliqueOverlap builds k groups all sharing process 0 as a common hub —
-// the dense-overlap end of the spectrum.
-func CliqueOverlap(n, k int) *GroupMap { return groups.CliqueOverlap(n, k) }
-
 // GroupsFromSites derives a GroupMap from a Geo topology: one group per
 // site, containing exactly that site's processes.
 func GroupsFromSites(t *Topology) *GroupMap { return groups.FromSites(t) }
-
-// ShardMix is the LoadPlan event setting the cross-shard traffic
-// fraction mid-run (groups mode only); the plan's Mix helper appends
-// one.
-type ShardMix = experiment.ShardMix

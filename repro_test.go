@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -150,6 +151,20 @@ func TestClusterValidation(t *testing.T) {
 		{"unknown algorithm", cluster(ClusterConfig{Algorithm: Algorithm(9), N: 3})},
 		{"cross-shard without groups", cluster(ClusterConfig{N: 3, CrossShard: 0.5})},
 		{"shardmix without groups", cluster(ClusterConfig{N: 3, Load: NewLoadPlan().Mix(time.Second, 0.5)})},
+		{"negative throughput", cluster(ClusterConfig{N: 3, Throughput: -1})},
+		{"NaN throughput", cluster(ClusterConfig{N: 3, Throughput: math.NaN()})},
+		{"infinite throughput", cluster(ClusterConfig{N: 3, Throughput: math.Inf(1)})},
+		{"negative lambda", cluster(ClusterConfig{N: 3, Lambda: -1})},
+		{"NaN lambda", cluster(ClusterConfig{N: 3, Lambda: math.NaN()})},
+		{"negative TD", cluster(ClusterConfig{N: 3, QoS: Detectors(-5, 0, 0)})},
+		{"negative TM", cluster(ClusterConfig{N: 3, QoS: Detectors(0, 100, -3)})},
+		{"negative heartbeat interval", cluster(ClusterConfig{N: 3, Heartbeat: HeartbeatDetector(-1, 0)})},
+		{"CrashAt out of range", func() {
+			NewCluster(ClusterConfig{N: 3}).CrashAt(3, time.Millisecond)
+		}},
+		{"SuspectAt out of range", func() {
+			NewCluster(ClusterConfig{N: 3}).SuspectAt(0, 5, time.Millisecond, time.Millisecond)
+		}},
 		{"GM recover in groups mode", cluster(ClusterConfig{
 			Algorithm: GM, N: 6, Groups: twoGroups,
 			Plan: NewFaultPlan().Crash(time.Second, 1).Recover(2*time.Second, 1),
@@ -185,15 +200,12 @@ func TestClusterValidation(t *testing.T) {
 }
 
 func TestHelpers(t *testing.T) {
-	if Milliseconds(1.5) != 1500*time.Microsecond {
-		t.Fatal("Milliseconds conversion wrong")
+	if milliseconds(1.5) != 1500*time.Microsecond {
+		t.Fatal("milliseconds conversion wrong")
 	}
 	q := Detectors(10, 100, 5)
 	if q.TD != 10*time.Millisecond || q.TMR != 100*time.Millisecond || q.TM != 5*time.Millisecond {
 		t.Fatalf("Detectors = %+v", q)
-	}
-	if Perfect() != (QoS{}) {
-		t.Fatal("Perfect() not zero QoS")
 	}
 }
 
@@ -236,7 +248,7 @@ func TestClusterHeartbeatWithGM(t *testing.T) {
 }
 
 func TestClusterWorkloadAndLoadMethods(t *testing.T) {
-	// A cluster with the built-in Poisson workload, shaped interactively:
+	// A cluster with the built-in Poisson workload, shaped by a load plan:
 	// mute sender 2 for a window, pause everyone for another, and watch
 	// the load events apply in order.
 	var events []string
@@ -255,15 +267,16 @@ func TestClusterWorkloadAndLoadMethods(t *testing.T) {
 			events = append(events, ev.String())
 			eventTimes = append(eventTimes, at)
 		},
+		Load: NewLoadPlan().
+			Mute(100*time.Millisecond, 2).
+			Unmute(400*time.Millisecond, 2).
+			Pause(600*time.Millisecond).
+			Resume(700*time.Millisecond).
+			Rate(800*time.Millisecond, AllSenders, 600).
+			// Silence the workload before draining: RunUntilIdle never
+			// returns while a Poisson source keeps scheduling.
+			Pause(1200 * time.Millisecond),
 	})
-	c.MuteAt(100*time.Millisecond, 2)
-	c.UnmuteAt(400*time.Millisecond, 2)
-	c.PauseAt(600 * time.Millisecond)
-	c.ResumeAt(700 * time.Millisecond)
-	c.SetRateAt(800*time.Millisecond, int(AllSenders), 600)
-	// Silence the workload before draining: RunUntilIdle never returns
-	// while a Poisson source keeps scheduling.
-	c.PauseAt(1200 * time.Millisecond)
 	c.Run(1200 * time.Millisecond)
 	c.RunUntilIdle()
 
@@ -321,6 +334,5 @@ func TestClusterLoadValidation(t *testing.T) {
 			t.Fatal("out-of-range load event accepted")
 		}
 	}()
-	c := NewCluster(ClusterConfig{Algorithm: FD, N: 3})
-	c.MuteAt(time.Millisecond, 7)
+	NewCluster(ClusterConfig{Algorithm: FD, N: 3, Load: NewLoadPlan().Mute(time.Millisecond, 7)})
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/experiment"
 )
 
 // TestGeoWANPartitionBurstSweepPoint pins the tentpole composition: "a
@@ -41,7 +43,7 @@ func TestGeoWANPartitionBurstSweepPoint(t *testing.T) {
 		t.Fatalf("the scenario expands to %d grid points, want a single entry", len(pts))
 	}
 
-	run := func(workers int) ([]Result, []TraceDigest, *bytes.Buffer) {
+	run := func(workers int) ([]Result, []experiment.TraceDigest, *bytes.Buffer) {
 		var buf bytes.Buffer
 		tr := NewTrace(&buf)
 		s := sweep
